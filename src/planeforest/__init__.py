@@ -23,7 +23,6 @@ from .forest_codec import (
     enumerate_forests,
     enumerate_mcfs,
     forest_to_mcf,
-    lex_degrees,
     marked_tree_from_bridge,
     mcf_from_walk,
     mcf_preimages,

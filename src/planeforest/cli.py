@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 invalid input, 2 statistical criterion failed
-(so CI jobs can gate on acceptance runs).  Every report echoes the seed.
+Exit codes: 0 success, 1 invalid input (usage errors included), 2
+statistical criterion failed (so CI jobs can gate on acceptance runs).
+Every report echoes the seed.
 """
 
 from __future__ import annotations
@@ -16,6 +17,14 @@ from .errors import PlaneForestError
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_CRITERION = 2
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_INVALID instead of argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
 def _parse_profile(text: str) -> dict[int, float]:
@@ -37,6 +46,10 @@ def _write(out: str | None, text: str):
 
 
 def _cmd_degseq(args) -> int:
+    needed = ["counts"] if args.action == "check" else ["p", "n", "c"]
+    missing = [f"--{k}" for k in needed if getattr(args, k) is None]
+    if missing:
+        raise ValueError(f"degseq {args.action} needs {', '.join(missing)}")
     if args.action == "check":
         s = degseq.validate(json.loads(args.counts))
     else:  # make
@@ -102,6 +115,8 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.reps < 1:
+        raise ValueError(f"--reps must be at least 1, got {args.reps}")
     p = _parse_profile(args.p)
     cn = args.cn if args.cn is not None else int(args.n**args.cn_exp)
     if args.experiment == "tau":
@@ -125,7 +140,7 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="planeforest")
+    ap = _Parser(prog="planeforest")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_deg = sub.add_parser("degseq", help="validate or build degree sequences")
@@ -173,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--p", default="geometric:0.5")
     p_ver.add_argument("--n", type=int, required=True)
     p_ver.add_argument("--cn", type=int)
-    p_ver.add_argument("--cn-exp", type=float, default=0.35, dest="cn_exp")
+    p_ver.add_argument("--cn-exp", type=float, default=0.25, dest="cn_exp")
     p_ver.add_argument("--reps", type=int, default=300)
     p_ver.add_argument("--top", type=int, default=3)
     p_ver.add_argument("--seed", type=int, required=True)

@@ -195,6 +195,3 @@ def geometric_profile(ratio: float = 0.5, max_degree: int = 64) -> dict[int, flo
     """Geometric offspring weights p_i ~ ratio^(i+1); mean 1 at ratio=1/2."""
     return {i: (1 - ratio) * ratio**i for i in range(max_degree + 1)}
 
-
-def degree_vector_to_json(vec: np.ndarray) -> str:
-    return json.dumps([int(v) for v in vec])

@@ -20,6 +20,7 @@ from .lattice_paths import (
     CodingWalk,
     FirstPassageBridge,
     LatticeBridge,
+    LatticePath,
     concat_segments,
     cyclic_shift,
     rotation_index,
@@ -129,20 +130,15 @@ class MarkedCyclicForest:
         return self.forest.to_json(mark=self.mark)
 
 
-def lex_degrees(t: PlaneTree) -> tuple[int, ...]:
-    """Node degrees in lexicographic order (the canonical storage)."""
-    return t.lex
-
-
 def dfw_encode(t: PlaneTree) -> FirstPassageBridge:
     """Depth-first walk of the tree: partial sums of lex degrees minus one."""
     return FirstPassageBridge(walk_from_degrees(t.lex).values)
 
 
-def dfw_decode(b: FirstPassageBridge) -> PlaneTree:
-    """Unique plane tree whose depth-first walk is b."""
+def dfw_decode(b: LatticePath) -> PlaneTree:
+    """Unique plane tree whose depth-first walk is b; b must be a first-passage bridge."""
     if not isinstance(b, FirstPassageBridge):
-        b = FirstPassageBridge(tuple(b))
+        b = FirstPassageBridge(b.values)
     return PlaneTree(tuple(x + 1 for x in b.increments()))
 
 
@@ -155,7 +151,7 @@ def marked_tree_from_bridge(b: LatticeBridge) -> tuple[PlaneTree, int]:
     """
     r = rotation_index(b)
     fpb = cyclic_shift(b, r)
-    tree = dfw_decode(FirstPassageBridge(fpb.values))
+    tree = dfw_decode(fpb)
     return tree, tree.size - r + 1
 
 
@@ -176,7 +172,7 @@ def bridge_from_marked_tree(t: PlaneTree, mark: int) -> LatticeBridge:
 def mcf_from_walk(w: CodingWalk) -> MarkedCyclicForest:
     """Decode a coding walk of depth k as k-1 trees plus one marked tree."""
     segments = split_at_passage_times(w)
-    trees = [dfw_decode(FirstPassageBridge(seg.values)) for seg in segments[:-1]]
+    trees = [dfw_decode(seg) for seg in segments[:-1]]
     last, pos = marked_tree_from_bridge(segments[-1])
     trees.append(last)
     forest = PlaneForest(tuple(trees))
@@ -297,4 +293,4 @@ def enumerate_forests(s: DegreeSequence, cap: int = 10) -> Iterator[PlaneForest]
             continue
         w = walk_from_degrees(perm)
         segments = split_at_passage_times(w)
-        yield PlaneForest(tuple(dfw_decode(FirstPassageBridge(seg.values)) for seg in segments))
+        yield PlaneForest(tuple(dfw_decode(seg) for seg in segments))

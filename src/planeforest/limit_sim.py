@@ -26,7 +26,6 @@ class BrownianPath:
 
     dt: float
     values: np.ndarray
-    sigma_scale: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -94,7 +93,7 @@ def simulate_to_hit(
 def reflect_at_min(path: BrownianPath) -> BrownianPath:
     """R(t) = B(t) - running minimum of B; nonnegative by construction."""
     v = path.values
-    return BrownianPath(path.dt, v - np.minimum.accumulate(v), path.sigma_scale)
+    return BrownianPath(path.dt, v - np.minimum.accumulate(v))
 
 
 def ranked_excursions(path: BrownianPath, x: float) -> list[ExcursionInterval]:

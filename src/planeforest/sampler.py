@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degseq import DegreeSequence, degree_vector
-from .forest_codec import MarkedCyclicForest, PlaneForest, mcf_from_walk
-from .lattice_paths import walk_from_degrees
+from .forest_codec import MarkedCyclicForest, PlaneForest, PlaneTree
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -33,8 +32,20 @@ def shuffle_degrees(s: DegreeSequence, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_mcf(s: DegreeSequence, rng: np.random.Generator) -> MarkedCyclicForest:
-    """Exactly uniform marked cyclic forest with degree sequence s."""
-    return mcf_from_walk(walk_from_degrees(shuffle_degrees(s, rng)))
+    """Exactly uniform marked cyclic forest with degree sequence s.
+
+    The shuffled degree vector is the trees' lex sequences laid end to end:
+    the first c-1 trees are its slices at the walk's passage times.  The
+    marked tree is the last slice, of m nodes, rolled left by r, where r - 1
+    is the first argmin of the walk over it (the rotation lemma); its mark
+    is lex position m - r + 1.
+    """
+    ws = walk_statistics(s, rng)
+    *slices, last = np.split(ws.perm, ws.boundaries[:-1])
+    r = int(np.argmin(ws.walk[-len(last) :])) + 1
+    trees = [PlaneTree(x.tolist()) for x in slices]
+    trees.append(PlaneTree(np.roll(last, -r).tolist()))
+    return MarkedCyclicForest(PlaneForest(tuple(trees)), (len(trees) - 1, len(last) - r + 1))
 
 
 def sample_forest(s: DegreeSequence, rng: np.random.Generator) -> PlaneForest:
@@ -96,15 +107,16 @@ def _tree_boundaries(walk: np.ndarray, c: int) -> np.ndarray:
     the marked tree's lattice bridge may dip below -c early, so its segment
     always ends at n.
     """
-    running_min = np.minimum.accumulate(walk)
-    bounds = np.searchsorted(-running_min, np.arange(1, c), side="left") + 1
+    depth = np.minimum.accumulate(walk)
+    np.negative(depth, out=depth)  # in place: one O(n) temporary fewer per replicate
+    bounds = np.searchsorted(depth, np.arange(1, c), side="left") + 1
     return np.append(bounds, len(walk))
 
 
 def walk_statistics(s: DegreeSequence, rng: np.random.Generator) -> WalkStatistics:
     """Sample one replicate and summarize it without materializing trees."""
     perm = shuffle_degrees(s, rng)
-    walk = np.cumsum(perm.astype(np.int64) - 1)
+    walk = np.cumsum(perm - 1)
     boundaries = _tree_boundaries(walk, s.c)
     sizes = np.diff(boundaries, prepend=0)
     order = np.argsort(-sizes, kind="stable")

@@ -21,7 +21,7 @@ import scipy.stats
 from .degseq import DegreeSequence, degree_vector, empirical, limit_sigma, make_degree_sequence
 from .errors import EmptySample
 from .limit_sim import sample_limit_vector, tau_cdf
-from .sampler import _tree_boundaries, substream
+from .sampler import substream, walk_statistics
 
 DEFAULT_T_CAP = 500.0
 
@@ -95,20 +95,6 @@ def _params(p, extra: Mapping) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# fast per-replicate sampling (arrays only, no tree materialization)
-
-
-def _replicate_sizes(dvec: np.ndarray, c: int, rng: np.random.Generator):
-    """(sizes in MCF order, tau_n) for one shuffled degree vector."""
-    perm = rng.permutation(dvec)
-    walk = np.cumsum(perm - 1)
-    bounds = _tree_boundaries(walk, c)
-    sizes = np.diff(bounds, prepend=0)
-    tau_n = int(bounds[c - 2]) if c >= 2 else 0
-    return perm, bounds, sizes, tau_n
-
-
-# ---------------------------------------------------------------------------
 # experiments
 
 
@@ -118,13 +104,12 @@ def experiment_tau(p, n: int, cn: int, reps: int, seed: int, tol: float = 0.12) 
     if cn > n**0.4:
         raise ValueError(f"cn={cn} outside the supercritical regime (cn <= n^0.4)")
     s, sigma = _setup(p, n, cn, seed)
-    dvec = degree_vector(s)
     small_mass = np.empty(reps)
     taus = np.empty(reps)
     for rep in range(reps):
-        _, _, sizes, tau_n = _replicate_sizes(dvec, s.c, substream(seed, rep))
-        small_mass[rep] = (n - sizes.max()) / cn**2
-        taus[rep] = tau_n / cn**2
+        ws = walk_statistics(s, substream(seed, rep))
+        small_mass[rep] = (n - ws.sizes.max()) / cn**2
+        taus[rep] = ws.tau_n / cn**2
     report = ExperimentReport("tau", _params(p, {"n": n, "cn": cn, "reps": reps, "seed": seed}))
     if s.c == 1:
         report.stats = {"degenerate": True, "sigma": sigma}
@@ -154,12 +139,10 @@ def experiment_tree_sizes(
     """Ranked small-tree sizes / cn^2 vs simulated ranked excursion lengths."""
     t0 = time.perf_counter()
     s, sigma = _setup(p, n, cn, seed)
-    dvec = degree_vector(s)
     forest_side = np.empty((reps, top_j))
     sums = np.empty(reps)
     for rep in range(reps):
-        _, _, sizes, _ = _replicate_sizes(dvec, s.c, substream(seed, rep))
-        ranked = np.sort(sizes)[::-1]
+        ranked = walk_statistics(s, substream(seed, rep)).ranked_sizes
         padded = np.zeros(top_j + 1)
         padded[: min(top_j + 1, len(ranked))] = ranked[: top_j + 1]
         forest_side[rep] = padded[1 : top_j + 1] / cn**2
@@ -262,21 +245,16 @@ def experiment_degrees(
     if min(trees) < 1:
         raise ValueError("tree ranks start at 1")
     s, _ = _setup(p, n, cn, seed)
-    dvec = degree_vector(s)
     emp = empirical(s)
     global_p = {i: emp.probs.get(i, 0.0) for i in degrees}
     global_sig = emp.second_moment
     p_diffs = {(i, l): np.empty(reps) for i in degrees for l in trees}
     s_diffs = {l: np.empty(reps) for l in trees}
     for rep in range(reps):
-        perm, bounds, sizes, _ = _replicate_sizes(dvec, s.c, substream(seed, rep))
-        order = np.argsort(-sizes, kind="stable")
+        ws = walk_statistics(s, substream(seed, rep))
         for l in trees:
-            t = int(order[l - 1])
-            lo = 0 if t == 0 else int(bounds[t - 1])
-            hi = int(bounds[t])
-            counts = np.bincount(perm[lo:hi])
-            size = hi - lo
+            counts = ws.tree_degree_counts(l)
+            size = int(ws.ranked_sizes[l - 1])
             for i in degrees:
                 pi = counts[i] / size if i < len(counts) else 0.0
                 p_diffs[(i, l)][rep] = abs(pi - global_p[i])
@@ -303,12 +281,7 @@ def experiment_largest_marked(p, n: int, cn: int, reps: int, seed: int, tol: flo
     """Frequency of the marked tree being the largest tree, with a CI."""
     t0 = time.perf_counter()
     s, _ = _setup(p, n, cn, seed)
-    dvec = degree_vector(s)
-    hits = 0
-    for rep in range(reps):
-        _, _, sizes, _ = _replicate_sizes(dvec, s.c, substream(seed, rep))
-        # Stable argmax ties favor earlier trees, so a tie counts against.
-        hits += int(np.argsort(-sizes, kind="stable")[0] == s.c - 1)
+    hits = sum(walk_statistics(s, substream(seed, rep)).largest_is_marked for rep in range(reps))
     freq = hits / reps
     half_ci = 1.96 * math.sqrt(max(freq * (1 - freq), 1e-12) / reps)
     report = ExperimentReport(

@@ -22,7 +22,6 @@ from planeforest import (
     count_forests,
     count_mcf,
     cyclic_shift,
-    degree_vector,
     first_visit_times,
     is_first_passage,
     ks_one_sample,
@@ -44,6 +43,7 @@ from planeforest import (
     tree_graph_metric,
     validate,
     walk_from_mcf,
+    walk_statistics,
 )
 from planeforest.errors import CapExceeded
 from planeforest.forest_codec import (
@@ -62,7 +62,6 @@ from planeforest.verify import (
     experiment_largest_marked,
     experiment_tree_sizes,
     experiment_walk,
-    _replicate_sizes,
 )
 
 SEED = 2024
@@ -216,11 +215,10 @@ def test_criterion_04_tau_law():
     t0 = time.perf_counter()
     cn = CN_SMALL_TREES
     s = make_degree_sequence(geometric_profile(), N_LARGE, cn, SEED)
-    dvec = degree_vector(s)
     reps = 300
     small_mass = np.empty(reps)
     for rep in range(reps):
-        _, _, sizes, _ = _replicate_sizes(dvec, s.c, substream(SEED, rep))
+        sizes = walk_statistics(s, substream(SEED, rep)).sizes
         small_mass[rep] = (N_LARGE - sizes.max()) / cn**2
     ks = ks_one_sample(small_mass, lambda t: tau_cdf(np.asarray(t), SIGMA))
     elapsed = time.perf_counter() - t0

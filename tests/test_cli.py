@@ -148,6 +148,23 @@ def test_verify_cn_exponent(capsys):
     assert report["params"]["cn"] == int(4000**0.35)
 
 
+@pytest.mark.parametrize("argv", [
+    ("degseq", "make", "--n", "500", "--c", "8"),
+    ("degseq", "check"),
+    ("verify", "largest", "--n", "4000", "--reps", "0", "--seed", "1"),
+])
+def test_missing_or_empty_arguments_are_invalid(capsys, argv):
+    code = main(list(argv))
+    assert code == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_usage_error_exits_invalid(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "forest", "--degseq", "s.json"])  # no --seed
+    assert exc.value.code == EXIT_INVALID
+
+
 def test_unknown_subcommand_fails(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -17,7 +17,6 @@ from planeforest import (
     enumerate_forests,
     enumerate_mcfs,
     forest_to_mcf,
-    lex_degrees,
     marked_tree_from_bridge,
     mcf_from_walk,
     mcf_preimages,
@@ -52,7 +51,13 @@ def test_dfw_encode_known_tree():
     b = dfw_encode(t)
     assert b.values == (0, 1, 0, -1)
     assert dfw_decode(b) == t
-    assert lex_degrees(t) == (2, 0, 0)
+    assert t.lex == (2, 0, 0)
+
+
+def test_dfw_decode_accepts_any_lattice_path():
+    assert dfw_decode(LatticeBridge((0, 1, 0, -1))) == PlaneTree((2, 0, 0))
+    with pytest.raises(MalformedBridge):
+        dfw_decode(LatticeBridge((0, -1, 0, -1)))
 
 
 def test_marked_tree_from_bridge_worked_example():

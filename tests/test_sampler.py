@@ -6,8 +6,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from planeforest import (
+    PlaneForest,
     chi_square_uniform,
     count_forests,
     count_mcf,
@@ -20,6 +22,7 @@ from planeforest import (
     shuffle_degrees,
     substream,
     validate,
+    walk_from_degrees,
     walk_statistics,
 )
 from planeforest.degseq import geometric_profile
@@ -67,6 +70,30 @@ def test_sample_forest_uniform_chi_square():
     assert len(counts) == count_forests(s) == 5
     _, p = chi_square_uniform(list(counts.values()))
     assert p > 0.001
+
+
+@st.composite
+def degree_sequences(draw):
+    """Degree sequences with up to about 9,000 nodes and 1 to 50 trees."""
+    counts = {i: draw(st.integers(0, 600)) for i in range(1, 6)}
+    counts[0] = sum((i - 1) * k for i, k in counts.items()) + draw(st.integers(1, 50))
+    return validate(counts)
+
+
+@settings(max_examples=60, deadline=None)
+@example(validate({0: 1}), 0)
+@example(validate({0: 3, 1: 2, 3: 1}), 1)
+@example(validate({0: 4, 2: 2}), 2)
+@example(validate({0: 5, 1: 2, 3: 1}), 3)
+@given(degree_sequences(), st.integers(0, 2**32))
+def test_array_kernel_matches_tuple_codec(s, seed):
+    # The tuple codec path is the reference: same draws, same forests.
+    rng = substream(seed, 0)
+    oracle = mcf_from_walk(walk_from_degrees(shuffle_degrees(s, rng)))
+    trees = oracle.forest.trees
+    k = int(rng.integers(len(trees)))
+    assert sample_mcf(s, substream(seed, 0)) == oracle
+    assert sample_forest(s, substream(seed, 0)) == PlaneForest(trees[k:] + trees[:k])
 
 
 def test_ranked_trees_stable_order():
