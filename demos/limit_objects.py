@@ -27,7 +27,7 @@ for t in (0.25, 1.0, 4.0):
 # --- one discretized replicate ------------------------------------------------
 path, tau = pf.simulate_to_hit(1.0 / SIGMA, 1e-4, pf.substream(SEED, 1))
 reflected = pf.reflect_at_min(path)
-excursions = pf.ranked_excursions(reflected, 1.0 / SIGMA)
+excursions = pf.ranked_excursions(reflected)
 print(f"\ndiscretized replicate (dt = 1e-4): tau = {tau:.4f}")
 print(f"  {len(excursions)} excursions; top five lengths:")
 for e in excursions[:5]:

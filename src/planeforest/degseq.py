@@ -37,8 +37,7 @@ class DegreeSequence:
 
     @staticmethod
     def from_json(text: str) -> "DegreeSequence":
-        obj = json.loads(text)
-        return validate({int(i): int(k) for i, k in obj["counts"].items()})
+        return validate(json.loads(text)["counts"])
 
 
 @dataclass(frozen=True)
@@ -62,6 +61,8 @@ class EmpiricalDist:
 
 def validate(counts: Mapping[int, int]) -> DegreeSequence:
     """Check that ``counts`` is the degree sequence of some plane forest."""
+    if not isinstance(counts, Mapping):
+        raise NotAForest(f"counts must map degree -> count, got {type(counts).__name__}")
     clean = {}
     for i, k in counts.items():
         i, k = int(i), int(k)

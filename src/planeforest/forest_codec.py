@@ -50,26 +50,14 @@ class PlaneTree:
     def size(self) -> int:
         return len(self.lex)
 
-    def children_lists(self) -> list[list[int]]:
-        """children_lists()[i] = 0-based lex positions of node i's children."""
-        children: list[list[int]] = [[] for _ in self.lex]
-        stack: list[tuple[int, int]] = []  # (node, children still expected)
-        for i, d in enumerate(self.lex):
-            if stack:
-                parent, left = stack.pop()
-                children[parent].append(i)
-                if left > 1:
-                    stack.append((parent, left - 1))
-            if d > 0:
-                stack.append((i, d))
-        return children
-
     def parents(self) -> list[int]:
         """Parent lex position per node; -1 for the root."""
         par = [-1] * self.size
-        for v, kids in enumerate(self.children_lists()):
-            for u in kids:
-                par[u] = v
+        open_slots: list[int] = []  # one entry per child still expected
+        for i, d in enumerate(self.lex):
+            if open_slots:
+                par[i] = open_slots.pop()
+            open_slots.extend([i] * d)
         return par
 
 

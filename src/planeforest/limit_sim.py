@@ -96,7 +96,7 @@ def reflect_at_min(path: BrownianPath) -> BrownianPath:
     return BrownianPath(path.dt, v - np.minimum.accumulate(v))
 
 
-def ranked_excursions(path: BrownianPath, x: float) -> list[ExcursionInterval]:
+def ranked_excursions(path: BrownianPath) -> list[ExcursionInterval]:
     """Maximal intervals where the reflected path is positive, longest first.
 
     Zero-set membership is exact at grid points (R = 0 iff a new running
@@ -171,7 +171,7 @@ def sample_limit_vector(
     if sigma <= 0 or top_j < 1:
         raise DomainError("need sigma > 0 and top_j >= 1")
     path, tau = simulate_to_hit(1.0 / sigma, dt, rng, t_cap=t_cap)
-    ivals = ranked_excursions(path, 1.0 / sigma)[:top_j]
+    ivals = ranked_excursions(path)[:top_j]
     lengths = np.zeros(top_j)
     lengths[: len(ivals)] = [iv.length for iv in ivals]
     subpaths = []

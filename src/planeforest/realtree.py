@@ -134,15 +134,22 @@ def metric_snapshot(g: CodingFunction, sample_times) -> FiniteMetricSpace:
     return FiniteMetricSpace(dist, masses)
 
 
+def _depths(t: PlaneTree) -> np.ndarray:
+    """Depth of each node, in lex order."""
+    par = t.parents()
+    depth = [0] * t.size
+    for v in range(1, t.size):  # lex order guarantees parent index < child index
+        depth[v] = depth[par[v]] + 1
+    return np.array(depth)
+
+
 def tree_graph_metric(
     t: PlaneTree, scale: float = 1.0, mass_per_node: float | None = None
 ) -> FiniteMetricSpace:
     """Graph distances of a plane tree, rescaled, with uniform node masses."""
     n = t.size
     par = t.parents()
-    depth = np.zeros(n, dtype=int)
-    for v in range(1, n):  # lex order guarantees parent index < child index
-        depth[v] = depth[par[v]] + 1
+    depth = _depths(t)
     dist = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
@@ -165,114 +172,73 @@ def contour_function(t: PlaneTree) -> CodingFunction:
     """Depth profile of the contour (Euler tour) exploration.
 
     2(|T|-1)+1 grid points at unit spacing.  Use
-    :func:`first_visit_times` to sample one point per node.
+    :func:`first_visit_times` to sample one point per node.  Between the
+    first visits of lex nodes i and i+1 the contour takes
+    depth(i) - depth(i+1) + 1 down-steps and one up-step; after the last
+    node it walks back down to the root.
     """
-    depths = [0]
-    children = t.children_lists()
-
-    def tour(v: int, depth: int):
-        for u in children[v]:
-            depths.append(depth + 1)
-            tour(u, depth + 1)
-            depths.append(depth)
-
-    tour(0, 0)
-    times = np.arange(len(depths), dtype=float)
-    return CodingFunction(times, np.array(depths, dtype=float))
+    d = _depths(t)
+    down = np.append(d[:-1] - d[1:] + 1, d[-1])
+    up = np.ones_like(down)
+    up[-1] = 0
+    steps = np.repeat(np.tile([-1, 1], t.size), np.column_stack([down, up]).ravel())
+    values = np.concatenate([[0.0], np.cumsum(steps)])
+    return CodingFunction(np.arange(len(values), dtype=float), values)
 
 
 def first_visit_times(t: PlaneTree) -> np.ndarray:
-    """Contour time of the first visit to each node, in lex order."""
-    out = np.zeros(t.size)
-    children = t.children_lists()
-    clock = 0
+    """Contour time of the first visit to each node, in lex order.
 
-    def tour(v: int):
-        nonlocal clock
-        out[v] = clock
-        for u in children[v]:
-            clock += 1
-            tour(u)
-            clock += 1
-
-    tour(0)
-    return out
+    Before node i the contour has crossed the i edges to nodes 1..i: the
+    depth(i) edges on the root path once, every other edge twice.
+    """
+    return (2 * np.arange(t.size) - _depths(t)).astype(float)
 
 
-def _correspondence_distortion(dx, dy, f, g) -> float:
-    """Distortion of the correspondence graph(f) union graph(g)."""
-    nx, ny = dx.shape[0], dy.shape[0]
-    worst = 0.0
-    for i in range(nx):
-        for j in range(i, nx):
-            worst = max(worst, abs(dx[i, j] - dy[f[i], f[j]]))
-    for i in range(ny):
-        for j in range(i, ny):
-            worst = max(worst, abs(dy[i, j] - dx[g[i], g[j]]))
-    for i in range(nx):
-        for j in range(ny):
-            worst = max(worst, abs(dx[i, g[j]] - dy[f[i], j]))
-    return worst
-
-
-def _min_distortion(dx: np.ndarray, dy: np.ndarray) -> tuple[float, list[int], list[int]]:
+def _map_pairs(dx: np.ndarray, dy: np.ndarray, limit):
     """Branch-and-bound over map pairs (f: X->Y, g: Y->X).
 
-    Every correspondence contains one of this form and distortion is
-    monotone under inclusion, so the minimum over map pairs equals the
-    minimum over all correspondences.
+    Every correspondence contains graph(f) union graph(g) for some map
+    pair and distortion is monotone under inclusion, so the minimum over
+    map pairs equals the minimum over all correspondences.  f is assigned
+    point by point, then g; each assignment adds its |dx - dy| terms to
+    the running distortion, and a branch is cut once that reaches
+    ``limit()``, which the caller may lower between yields.  Yields
+    ``(f, g, distortion)`` for each complete pair below the limit.
     """
     nx, ny = dx.shape[0], dy.shape[0]
-    best = [np.inf]
-    best_fg: list = [None, None]
     f = [-1] * nx
     g = [-1] * ny
 
-    def bound_f(i: int) -> float:
-        worst = 0.0
-        for a in range(i + 1):
-            for b in range(a, i + 1):
-                worst = max(worst, abs(dx[a, b] - dy[f[a], f[b]]))
-        return worst
-
-    def assign_g(j: int, cur: float):
-        if cur >= best[0]:
+    def extend(k: int, cur: float):
+        if cur >= limit():
             return
-        if j == ny:
-            best[0] = cur
-            best_fg[0], best_fg[1] = list(f), list(g)
-            return
-        for cand in range(nx):
-            g[j] = cand
-            worst = cur
-            for b in range(j + 1):
-                worst = max(worst, abs(dy[j, b] - dx[cand, g[b]]))
-            for a in range(nx):
-                worst = max(worst, abs(dx[a, cand] - dy[f[a], j]))
-            if worst < best[0]:
-                assign_g(j + 1, worst)
-        g[j] = -1
+        if k == nx + ny:
+            yield tuple(f), tuple(g), cur
+        elif k < nx:
+            for cand in range(ny):
+                f[k] = cand
+                terms = [abs(dx[a, k] - dy[f[a], cand]) for a in range(k + 1)]
+                yield from extend(k + 1, max(cur, *terms))
+        else:
+            j = k - nx
+            for cand in range(nx):
+                g[j] = cand
+                terms = [abs(dy[j, b] - dx[cand, g[b]]) for b in range(j + 1)]
+                terms += [abs(dx[a, cand] - dy[f[a], j]) for a in range(nx)]
+                yield from extend(k + 1, max(cur, *terms))
 
-    def assign_f(i: int):
-        if i == nx:
-            assign_g(0, bound_f(nx - 1))
-            return
-        for cand in range(ny):
-            f[i] = cand
-            if bound_f(i) < best[0]:
-                assign_f(i + 1)
-        f[i] = -1
-
-    assign_f(0)
-    return best[0], best_fg[0], best_fg[1]
+    yield from extend(0, 0.0)
 
 
 def gh_distance_bruteforce(x: FiniteMetricSpace, y: FiniteMetricSpace, cap: int = 7) -> float:
     """Gromov-Hausdorff distance: half the minimal correspondence distortion."""
     if x.size > cap or y.size > cap:
         raise TooLarge(f"brute force capped at {cap} points")
-    dis, _, _ = _min_distortion(x.dist, y.dist)
-    return dis / 2.0
+    best = np.inf
+    for _, _, dis in _map_pairs(x.dist, y.dist, lambda: best):
+        best = dis
+    return best / 2.0
 
 
 def _min_coupling_outside(r_mask: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:
@@ -311,54 +277,15 @@ def ghp_distance_bruteforce(x: FiniteMetricSpace, y: FiniteMetricSpace, cap: int
         raise TooLarge(f"brute force capped at {cap} points")
     if x.masses is None or y.masses is None:
         raise ValueError("GHP needs mass vectors on both spaces")
-    dx, dy = x.dist, y.dist
     nx, ny = x.size, y.size
-    best = [np.inf]
-    f = [-1] * nx
-    g = [-1] * ny
-
-    def leaf():
-        dis = _correspondence_distortion(dx, dy, f, g)
-        if dis / 2.0 >= best[0]:
-            return
+    best = np.inf
+    for f, g, dis in _map_pairs(x.dist, y.dist, lambda: 2.0 * best):
         mask = np.zeros((nx, ny), dtype=bool)
         mask[range(nx), f] = True
         mask[g, range(ny)] = True
         outside = _min_coupling_outside(mask, x.masses, y.masses)
-        best[0] = min(best[0], dis / 2.0 + max(dis / 2.0, outside))
-
-    def assign_g(j: int, cur: float):
-        if cur / 2.0 >= best[0]:
-            return
-        if j == ny:
-            leaf()
-            return
-        for cand in range(nx):
-            g[j] = cand
-            worst = cur
-            for b in range(j + 1):
-                worst = max(worst, abs(dy[j, b] - dx[cand, g[b]]))
-            for a in range(nx):
-                worst = max(worst, abs(dx[a, cand] - dy[f[a], j]))
-            assign_g(j + 1, worst)
-        g[j] = -1
-
-    def assign_f(i: int, cur: float):
-        if cur / 2.0 >= best[0]:
-            return
-        if i == nx:
-            assign_g(0, cur)
-            return
-        for cand in range(ny):
-            f[i] = cand
-            worst = cur
-            for a in range(i + 1):
-                worst = max(worst, abs(dx[a, i] - dy[f[a], cand]))
-            assign_f(i + 1, worst)
-        f[i] = -1
-
-    assign_f(0, 0.0)
-    return float(best[0])
+        best = min(best, dis / 2.0 + max(dis / 2.0, outside))
+    return float(best)
 
 
 def gh_upper_bound_from_codings(f: CodingFunction, g: CodingFunction) -> float:

@@ -88,6 +88,11 @@ def _setup(p, n: int, cn: int, seed: int) -> tuple[DegreeSequence, float]:
     return s, limit_sigma(s)
 
 
+def _check_reps(reps: int):
+    if reps < 1:
+        raise EmptySample(f"need at least one replicate, got reps={reps}")
+
+
 def _params(p, extra: Mapping) -> dict:
     base = {"p": {str(i): w for i, w in sorted(dict(p).items())} if isinstance(p, Mapping) else list(p)}
     base.update(extra)
@@ -101,6 +106,7 @@ def _params(p, extra: Mapping) -> dict:
 def experiment_tau(p, n: int, cn: int, reps: int, seed: int, tol: float = 0.12) -> ExperimentReport:
     """KS of (n - largest tree)/cn^2 and tau_n/cn^2 against the tau(1/sigma) CDF."""
     t0 = time.perf_counter()
+    _check_reps(reps)
     if cn > n**0.4:
         raise ValueError(f"cn={cn} outside the supercritical regime (cn <= n^0.4)")
     s, sigma = _setup(p, n, cn, seed)
@@ -242,9 +248,12 @@ def experiment_degrees(
 ) -> ExperimentReport:
     """Per-tree empirical degree distributions against the global one."""
     t0 = time.perf_counter()
+    _check_reps(reps)
     if min(trees) < 1:
         raise ValueError("tree ranks start at 1")
     s, _ = _setup(p, n, cn, seed)
+    if max(trees) > s.c:
+        raise ValueError(f"tree rank {max(trees)} exceeds the tree count c = {s.c}")
     emp = empirical(s)
     global_p = {i: emp.probs.get(i, 0.0) for i in degrees}
     global_sig = emp.second_moment
@@ -280,6 +289,7 @@ def experiment_degrees(
 def experiment_largest_marked(p, n: int, cn: int, reps: int, seed: int, tol: float = 0.95) -> ExperimentReport:
     """Frequency of the marked tree being the largest tree, with a CI."""
     t0 = time.perf_counter()
+    _check_reps(reps)
     s, _ = _setup(p, n, cn, seed)
     hits = sum(walk_statistics(s, substream(seed, rep)).largest_is_marked for rep in range(reps))
     freq = hits / reps
@@ -310,6 +320,7 @@ def experiment_concentration(
     binomial standard errors.
     """
     t0 = time.perf_counter()
+    _check_reps(reps)
     thresholds = list(thresholds)
     if any(not 0 < t < 1 for t in thresholds):
         raise ValueError("thresholds must lie in (0, 1)")

@@ -159,6 +159,17 @@ def test_missing_or_empty_arguments_are_invalid(capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    # c = 1, and the CLI asks for tree ranks 1 and 2
+    ("verify", "degrees", "--n", "2000", "--cn", "1", "--reps", "5", "--seed", "1"),
+    ("degseq", "check", "--counts", "[1]"),
+], ids=["degrees_rank_above_c", "counts_not_a_mapping"])
+def test_malformed_inputs_are_invalid(capsys, argv):
+    code = main(list(argv))
+    assert code == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_usage_error_exits_invalid(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sample", "forest", "--degseq", "s.json"])  # no --seed

@@ -42,7 +42,6 @@ def test_plane_tree_validation():
 def test_plane_tree_structure():
     t = PlaneTree((2, 1, 0, 0))
     assert t.size == 4
-    assert t.children_lists() == [[1, 3], [2], [], []]
     assert t.parents() == [-1, 0, 1, 0]
 
 

@@ -93,7 +93,7 @@ def test_reflect_at_min_properties():
 def test_ranked_excursions_structure():
     path, tau = simulate_to_hit(1.0, 1e-3, rng_from_seed(3))
     r = reflect_at_min(path)
-    exc = ranked_excursions(r, 1.0)
+    exc = ranked_excursions(r)
     lengths = [e.length for e in exc]
     assert lengths == sorted(lengths, reverse=True)
     for e in exc:

@@ -51,6 +51,63 @@ def test_first_visit_times_are_contour_times():
         assert g(tv) == depths[u]
 
 
+def all_plane_trees(max_n):
+    out, frontier = [], [((), 1)]  # (lex prefix, child slots still open)
+    while frontier:
+        lex, open_slots = frontier.pop()
+        if open_slots == 0:
+            out.append(PlaneTree(lex))
+            continue
+        for d in range(max_n - len(lex) - open_slots + 1):
+            frontier.append((lex + (d,), open_slots - 1 + d))
+    return out
+
+
+def euler_tour(t):
+    """Reference contour and first visits: an explicit walk over child lists."""
+    children = [[] for _ in range(t.size)]
+    for v, p in enumerate(t.parents()[1:], start=1):
+        children[p].append(v)
+    depths, first = [0], [0] * t.size
+    stack = [iter(children[0])]
+    while stack:
+        u = next(stack[-1], None)
+        if u is None:
+            stack.pop()
+            if stack:
+                depths.append(len(stack) - 1)
+        else:
+            first[u] = len(depths)
+            depths.append(len(stack))
+            stack.append(iter(children[u]))
+    return depths, first
+
+
+def test_contour_and_first_visits_match_euler_tour():
+    trees = all_plane_trees(7)
+    assert len(trees) == 1 + 1 + 2 + 5 + 14 + 42 + 132  # Catalan numbers
+    for t in trees:
+        depths, first = euler_tour(t)
+        assert contour_function(t).values.tolist() == depths
+        assert first_visit_times(t).tolist() == first
+
+
+def test_deep_path_tree_contour_without_recursion_limit():
+    n = 5001
+    t = PlaneTree((1,) * (n - 1) + (0,))
+    g = contour_function(t)
+    assert len(g.values) == 2 * n - 1
+    assert (np.abs(np.diff(g.values)) == 1.0).all()
+    assert g.values[-1] == 0.0
+    par = t.parents()
+    assert par == list(range(-1, n - 1))
+    depth = [0] * n
+    for v in range(1, n):
+        depth[v] = depth[par[v]] + 1
+    fvt = first_visit_times(t)
+    assert [g(tv) for tv in fvt] == depth
+
+
 def test_coding_pseudometric_simple_cases():
     g = CodingFunction(np.array([0.0, 1.0, 2.0, 3.0, 4.0]), np.array([0.0, 2.0, 0.0, 1.0, 0.0]))
     assert coding_pseudometric(g, 0.0, 1.0) == pytest.approx(2.0)

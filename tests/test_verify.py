@@ -14,6 +14,7 @@ from planeforest import (
     make_degree_sequence,
 )
 from planeforest.degseq import geometric_profile
+from planeforest.errors import EmptySample
 from planeforest.verify import (
     experiment_concentration,
     experiment_degrees,
@@ -118,3 +119,14 @@ def test_experiment_tree_sizes_small_run():
     assert len(ks) == 2
     assert all(0 <= v <= 1 for v in ks)
     assert rep.passed["sizes_weakly_decreasing"]
+
+
+@pytest.mark.parametrize("run", [
+    lambda p: experiment_tau(p, 1000, 1, 0, seed=1),  # c = 1 takes the degenerate branch
+    lambda p: experiment_largest_marked(p, 1000, 6, 0, seed=1),
+    lambda p: experiment_degrees(p, 1000, 6, 0, degrees=(0,), trees=(1,), seed=1),
+    lambda p: experiment_concentration(make_degree_sequence(p, 1000, 6), 0, (0.5,), 0, seed=1),
+], ids=["tau_degenerate", "largest_marked", "degrees", "concentration"])
+def test_experiments_reject_zero_reps(run):
+    with pytest.raises(EmptySample):
+        run(geometric_profile())
