@@ -79,7 +79,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_codec(args) -> int:
     if args.action == "encode":
-        tree = forest_codec.PlaneTree(tuple(json.loads(args.tree)))
+        tree = forest_codec.PlaneTree(json.loads(args.tree))
         _write(args.out, forest_codec.dfw_encode(tree).to_json())
     elif args.action == "decode":
         bridge = lattice_paths.FirstPassageBridge(tuple(json.loads(args.bridge)))

@@ -37,7 +37,10 @@ class DegreeSequence:
 
     @staticmethod
     def from_json(text: str) -> "DegreeSequence":
-        return validate(json.loads(text)["counts"])
+        obj = json.loads(text)
+        if not isinstance(obj, dict) or "counts" not in obj:
+            raise NotAForest('degree-sequence JSON must be an object with a "counts" map')
+        return validate(obj["counts"])
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .degseq import DegreeSequence, degree_vector, validate
 from .errors import MalformedBridge, TooLarge
@@ -36,8 +39,13 @@ class PlaneTree:
     lex: tuple[int, ...]
 
     def __post_init__(self):
-        lex = tuple(int(d) for d in self.lex)
+        try:
+            lex = tuple(map(operator.index, self.lex))
+        except TypeError as exc:
+            raise MalformedBridge(f"lex entries must be integer degrees: {exc}") from None
         object.__setattr__(self, "lex", lex)
+        if min(lex, default=0) < 0:
+            raise MalformedBridge("lex sequence has a negative degree")
         bal = 0
         for i, d in enumerate(lex):
             bal += d - 1
@@ -45,6 +53,13 @@ class PlaneTree:
                 raise MalformedBridge("lex sequence closes the tree early")
         if bal != -1:
             raise MalformedBridge("lex sequence does not close the tree")
+
+    @classmethod
+    def _unchecked(cls, lex: tuple[int, ...]) -> "PlaneTree":
+        """Tree from a tuple of Python ints that the caller has already checked."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "lex", lex)
+        return t
 
     @property
     def size(self) -> int:
@@ -59,6 +74,14 @@ class PlaneTree:
                 par[i] = open_slots.pop()
             open_slots.extend([i] * d)
         return par
+
+
+class _DegreeTokens(dict):
+    """Degree -> its JSON text, filled in on first use."""
+
+    def __missing__(self, d: int) -> str:
+        self[d] = text = str(d)
+        return text
 
 
 @dataclass(frozen=True)
@@ -83,11 +106,49 @@ class PlaneForest:
                 counts[d] = counts.get(d, 0) + 1
         return validate(counts)
 
+    @classmethod
+    def _from_lex(cls, lex: np.ndarray, sizes: np.ndarray, walk: np.ndarray) -> "PlaneForest":
+        """Forest of the consecutive slices of ``lex`` with the given sizes.
+
+        All trees are checked in one pass over the array, against the same
+        rules :class:`PlaneTree` applies node by node: integer degrees >= 0,
+        and each tree's walk, relative to its start, stays >= 0 before its
+        last node and is exactly -1 there.  ``walk``, an int64 array as long
+        as ``lex``, is overwritten with the walk.
+        """
+        lex, sizes = np.asarray(lex), np.asarray(sizes)
+        if lex.dtype.kind not in "biu":
+            raise MalformedBridge(f"lex entries must be integer degrees, got {lex.dtype}")
+        if sizes.size == 0:
+            raise MalformedBridge("forest must contain at least one tree")
+        if sizes.min() < 1:
+            raise MalformedBridge("lex sequence does not close the tree")  # an empty tree
+        if sizes.sum() != lex.size:
+            raise ValueError(f"tree sizes add up to {sizes.sum()}, not {lex.size}")
+        lex = lex.astype(np.int64, copy=False)
+        if lex.min() < 0:
+            raise MalformedBridge("lex sequence has a negative degree")
+        np.subtract(lex, 1, out=walk)
+        np.cumsum(walk, out=walk)
+        ends = np.cumsum(sizes) - 1
+        base = np.zeros(len(ends), dtype=np.int64)  # the walk just before each tree
+        base[1:] = walk[ends[:-1]]
+        if np.any(walk[ends] != base - 1):
+            raise MalformedBridge("lex sequence does not close the tree")
+        # Even entries: the walk's minimum over each tree but its last node.
+        lows = np.minimum.reduceat(walk, np.column_stack((ends - sizes + 1, ends)).ravel())[::2]
+        if np.any((lows < base) & (sizes > 1)):
+            raise MalformedBridge("lex sequence closes the tree early")
+        slices = np.split(lex, ends[:-1] + 1)
+        return cls(tuple(PlaneTree._unchecked(tuple(x.tolist())) for x in slices))
+
     def to_json(self, mark: tuple[int, int] | None = None) -> str:
-        obj: dict = {"trees": [list(t.lex) for t in self.trees]}
-        if mark is not None:
-            obj["mark"] = list(mark)
-        return json.dumps(obj)
+        # Byte-identical to json.dumps({"trees": ..., "mark": ...}): every lex
+        # entry is a Python int, which JSON writes as its str().
+        tokens = _DegreeTokens()
+        trees = "], [".join(", ".join(map(tokens.__getitem__, t.lex)) for t in self.trees)
+        tail = "" if mark is None else ', "mark": ' + json.dumps(list(mark))
+        return '{"trees": [[' + trees + "]]" + tail + "}"
 
     @staticmethod
     def from_json(text: str) -> "PlaneForest":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degseq import DegreeSequence, degree_vector
-from .forest_codec import MarkedCyclicForest, PlaneForest, PlaneTree
+from .forest_codec import MarkedCyclicForest, PlaneForest
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -38,14 +38,19 @@ def sample_mcf(s: DegreeSequence, rng: np.random.Generator) -> MarkedCyclicFores
     the first c-1 trees are its slices at the walk's passage times.  The
     marked tree is the last slice, of m nodes, rolled left by r, where r - 1
     is the first argmin of the walk over it (the rotation lemma); its mark
-    is lex position m - r + 1.
+    is lex position m - r + 1.  The roll happens in place, and the whole
+    array is then checked once as a forest.
     """
     ws = walk_statistics(s, rng)
-    *slices, last = np.split(ws.perm, ws.boundaries[:-1])
-    r = int(np.argmin(ws.walk[-len(last) :])) + 1
-    trees = [PlaneTree(x.tolist()) for x in slices]
-    trees.append(PlaneTree(np.roll(last, -r).tolist()))
-    return MarkedCyclicForest(PlaneForest(tuple(trees)), (len(trees) - 1, len(last) - r + 1))
+    lex, walk, n, m = ws.perm, ws.walk, s.n, int(ws.sizes[-1])
+    r = int(np.argmin(walk[n - m :])) + 1
+    # The walk is rewritten by the check below, so its storage holds the copy.
+    last = walk[:m]
+    last[:] = lex[n - m :]
+    lex[n - m : n - r] = last[r:]
+    lex[n - r :] = last[:r]
+    forest = PlaneForest._from_lex(lex, ws.sizes, walk)
+    return MarkedCyclicForest(forest, (s.c - 1, m - r + 1))
 
 
 def sample_forest(s: DegreeSequence, rng: np.random.Generator) -> PlaneForest:

@@ -1,10 +1,12 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
+import hashlib
 import json
 
 import pytest
 
 from planeforest.cli import EXIT_CRITERION, EXIT_INVALID, EXIT_OK, main
+from planeforest.degseq import geometric_profile, make_degree_sequence
 
 
 def run(capsys, *argv):
@@ -70,6 +72,28 @@ def test_sample_is_deterministic(tmp_path, capsys):
     _, a = run(capsys, "sample", "mcf", "--degseq", str(ds), "--seed", "9", "--count", "4")
     _, b = run(capsys, "sample", "mcf", "--degseq", str(ds), "--seed", "9", "--count", "4")
     assert a == b
+
+
+# SHA-256 of `sample <kind> --degseq s.json --seed <seed>` output, where s.json
+# holds make_degree_sequence(geometric_profile(), 10_000, 25, seed=1); computed
+# with the tuple-by-tuple sampler and json.dumps encoder the array path replaced.
+PINNED_SAMPLE_SHA256 = {
+    ("forest", 0): "903df56edd3949052ebd03cef1f640036929893c27ee8efce2dc9c56ab61222f",
+    ("forest", 1): "405d6087ff9be2af1805aa146a19b70c16a3abb566dfa826b147b4c1d99a4f1c",
+    ("forest", 2): "286103d53a09b92e940e56196b64ad25a7bba456a6c52e65117caa7edcbe4430",
+    ("mcf", 0): "d5a71cc27603a78f06a66bee994a1ca43dec7d3b264e0b1a2133d87975eea321",
+    ("mcf", 1): "440636aab24202aa85148b233516255edf3dae514eecde73880d98b36ffbe193",
+    ("mcf", 2): "fcf8d8893b979ea82f796f15e0882720f4d7ac8006c6717da41029386a22afab",
+}
+
+
+@pytest.mark.parametrize("kind, seed", sorted(PINNED_SAMPLE_SHA256))
+def test_sample_json_bytes_are_pinned(tmp_path, kind, seed):
+    ds, out = tmp_path / "s.json", tmp_path / "out.json"
+    ds.write_text(make_degree_sequence(geometric_profile(), 10_000, 25, seed=1).to_json())
+    code = main(["sample", kind, "--degseq", str(ds), "--seed", str(seed), "--out", str(out)])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SAMPLE_SHA256[kind, seed]
 
 
 def test_codec_encode_decode_round_trip(capsys):
@@ -163,8 +187,21 @@ def test_missing_or_empty_arguments_are_invalid(capsys, argv):
     # c = 1, and the CLI asks for tree ranks 1 and 2
     ("verify", "degrees", "--n", "2000", "--cn", "1", "--reps", "5", "--seed", "1"),
     ("degseq", "check", "--counts", "[1]"),
-], ids=["degrees_rank_above_c", "counts_not_a_mapping"])
-def test_malformed_inputs_are_invalid(capsys, argv):
+    ("sample", "forest", "--degseq", "file:{}", "--seed", "1"),
+    ("sample", "forest", "--degseq", "file:[]", "--seed", "1"),
+    ("codec", "encode", "--tree", "[1.5,-0.5]"),
+    ("codec", "encode", "--tree", "[3,2,-1,0,0]"),
+    ("codec", "encode", "--tree", "[[1]]"),
+], ids=["degrees_rank_above_c", "counts_not_a_mapping", "degseq_file_without_counts",
+        "degseq_file_is_a_list", "tree_float_entries", "tree_negative_entry",
+        "tree_nested_list"])
+def test_malformed_inputs_are_invalid(tmp_path, capsys, argv):
+    # "file:<text>" stands for the path of a file that holds <text>.
+    for i, arg in enumerate(argv):
+        if arg.startswith("file:"):
+            path = tmp_path / f"arg{i}.json"
+            path.write_text(arg[len("file:"):])
+            argv = argv[:i] + (str(path),) + argv[i + 1:]
     code = main(list(argv))
     assert code == EXIT_INVALID
     assert capsys.readouterr().err.startswith("error: ")

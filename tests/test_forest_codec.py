@@ -2,7 +2,9 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from planeforest import (
     LatticeBridge,
@@ -20,11 +22,13 @@ from planeforest import (
     marked_tree_from_bridge,
     mcf_from_walk,
     mcf_preimages,
+    sample_mcf,
+    substream,
     validate,
     walk_from_degrees,
     walk_from_mcf,
 )
-from planeforest.errors import MalformedBridge, TooLarge
+from planeforest.errors import MalformedBridge, PlaneForestError, TooLarge
 from planeforest.forest_codec import enumerate_walks
 
 
@@ -37,6 +41,25 @@ def test_plane_tree_validation():
         PlaneTree((0, 0))  # closes early
     with pytest.raises(MalformedBridge):
         PlaneTree(())
+
+
+@pytest.mark.parametrize("lex", [
+    (1.5, -0.5),  # int() would have made this (1, 0)
+    (3, 2, -1, 0, 0),  # its walk closes at the end despite the -1
+    ([1],),
+    ("2", "0", "0"),
+    5,
+], ids=["floats", "negative", "nested", "strings", "not_a_sequence"])
+def test_plane_tree_rejects_entries_that_are_not_degrees(lex):
+    with pytest.raises(MalformedBridge):
+        PlaneTree(lex)
+
+
+def test_plane_tree_takes_numpy_integers_as_python_ints():
+    for lex in (np.array([2, 0, 0]), (np.int64(2), np.uint8(0), np.int32(0))):
+        t = PlaneTree(lex)
+        assert t.lex == (2, 0, 0)
+        assert all(type(d) is int for d in t.lex)
 
 
 def test_plane_tree_structure():
@@ -175,3 +198,84 @@ def test_forest_json_round_trip():
     assert PlaneForest.from_json(f.to_json()) == f
     m = MarkedCyclicForest(f, (1, 1))
     assert json.loads(m.to_json())["mark"] == [1, 1]
+
+
+def _whole_forest(lex, sizes):
+    return PlaneForest._from_lex(lex, sizes, np.empty(len(lex), dtype=np.int64))
+
+
+def _tree_by_tree(lex, sizes):
+    """The per-tree reference: the forest, or the type of the error raised."""
+    try:
+        slices = np.split(lex, np.cumsum(sizes)[:-1])
+        return PlaneForest(tuple(PlaneTree(tuple(x)) for x in slices))
+    except PlaneForestError as exc:
+        return type(exc)
+
+
+@st.composite
+def lex_and_sizes(draw):
+    """Integer arrays (negative entries included) cut into consecutive slices.
+
+    Half start from the lex sequences of a real forest, which then may get
+    one entry or one cut changed, so both verdicts are drawn often.
+    """
+    if draw(st.booleans()):
+        counts = {i: draw(st.integers(0, 4)) for i in range(1, 5)}
+        counts[0] = sum((i - 1) * k for i, k in counts.items()) + draw(st.integers(1, 4))
+        trees = sample_mcf(validate(counts), substream(draw(st.integers(0, 2**32)), 0)).forest.trees
+        lex = [d for t in trees for d in t.lex]
+        sizes = [t.size for t in trees]
+        if draw(st.booleans()):
+            lex[draw(st.integers(0, len(lex) - 1))] = draw(st.integers(-2, 5))
+        if len(sizes) > 1 and draw(st.booleans()):
+            i = draw(st.integers(0, len(sizes) - 2))
+            shift = draw(st.integers(-sizes[i], sizes[i + 1]))
+            sizes[i] += shift
+            sizes[i + 1] -= shift
+    else:
+        lex = draw(st.lists(st.integers(-2, 4), max_size=12))
+        cuts = sorted(draw(st.lists(st.integers(0, len(lex)), max_size=5)))
+        sizes = np.diff([0] + cuts + [len(lex)]).tolist() if lex or cuts else []
+    return np.array(lex, dtype=np.int64), np.array(sizes, dtype=np.int64)
+
+
+@settings(max_examples=400, deadline=None)
+@example((np.array([3, 2, -1, 0, 0]), np.array([5])))
+@example((np.array([0, 0, 1, 0]), np.array([1, 0, 3])))
+@example((np.array([0]), np.array([1])))
+@example((np.array([], dtype=np.int64), np.array([], dtype=np.int64)))
+@given(lex_and_sizes())
+def test_whole_forest_check_agrees_with_tree_by_tree(case):
+    lex, sizes = case
+    expected = _tree_by_tree(lex, sizes)
+    if isinstance(expected, PlaneForest):
+        assert _whole_forest(lex, sizes) == expected
+    else:
+        with pytest.raises(PlaneForestError) as info:
+            _whole_forest(lex, sizes)
+        assert type(info.value) is expected
+
+
+def test_whole_forest_check_rejects_float_arrays():
+    lex, sizes = np.array([1.0, 0.0]), np.array([2])
+    assert _tree_by_tree(lex, sizes) is MalformedBridge
+    with pytest.raises(MalformedBridge):
+        _whole_forest(lex, sizes)
+
+
+@st.composite
+def marked_cyclic_forests(draw):
+    """Sampled forests with degrees up to 14 and 1 to 4 trees."""
+    counts = {i: draw(st.integers(0, 3)) for i in (1, 2, 9, 10, 11, 14)}
+    counts[0] = sum((i - 1) * k for i, k in counts.items()) + draw(st.integers(1, 4))
+    return sample_mcf(validate(counts), substream(draw(st.integers(0, 2**32)), 0))
+
+
+@settings(max_examples=100, deadline=None)
+@example(MarkedCyclicForest(PlaneForest((PlaneTree((0,)),)), (0, 1)))
+@given(marked_cyclic_forests())
+def test_to_json_equals_json_dumps(m):
+    trees = [list(t.lex) for t in m.forest.trees]
+    assert m.forest.to_json() == json.dumps({"trees": trees})
+    assert m.to_json() == json.dumps({"trees": trees, "mark": list(m.mark)})
