@@ -37,6 +37,12 @@ def _parse_profile(text: str) -> dict[int, float]:
     raise ValueError(f"unknown profile {text!r}")
 
 
+def _at_least_one(args, *names):
+    for name in names:
+        if getattr(args, name) < 1:
+            raise ValueError(f"--{name} must be at least 1, got {getattr(args, name)}")
+
+
 def _write(out: str | None, text: str):
     if out:
         with open(out, "w") as fh:
@@ -59,6 +65,7 @@ def _cmd_degseq(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    _at_least_one(args, "count", "top")
     with open(args.degseq) as fh:
         s = degseq.DegreeSequence.from_json(fh.read())
     lines = []
@@ -78,25 +85,29 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_codec(args) -> int:
+    needed = {"encode": "tree", "split": "walk"}.get(args.action, "bridge")
+    if getattr(args, needed) is None:
+        raise ValueError(f"codec {args.action} needs --{needed}")
     if args.action == "encode":
         tree = forest_codec.PlaneTree(json.loads(args.tree))
         _write(args.out, forest_codec.dfw_encode(tree).to_json())
     elif args.action == "decode":
-        bridge = lattice_paths.FirstPassageBridge(tuple(json.loads(args.bridge)))
+        bridge = lattice_paths.FirstPassageBridge(json.loads(args.bridge))
         tree = forest_codec.dfw_decode(bridge)
         _write(args.out, json.dumps({"lex": list(tree.lex)}))
     elif args.action == "rotate":
-        bridge = lattice_paths.LatticeBridge(tuple(json.loads(args.bridge)))
+        bridge = lattice_paths.LatticeBridge(json.loads(args.bridge))
         k = args.k if args.k is not None else lattice_paths.rotation_index(bridge)
         _write(args.out, lattice_paths.cyclic_shift(bridge, k).to_json())
     else:  # split
-        walk = lattice_paths.CodingWalk(tuple(json.loads(args.walk)))
+        walk = lattice_paths.CodingWalk(json.loads(args.walk))
         segs = lattice_paths.split_at_passage_times(walk)
         _write(args.out, json.dumps([list(seg.values) for seg in segs]))
     return EXIT_OK
 
 
 def _cmd_limit(args) -> int:
+    _at_least_one(args, "count", "top")
     if args.action == "sample-tau":
         rng = sampler.rng_from_seed(args.seed)
         samples = limit_sim.sample_tau_exact(args.sigma, rng, size=args.count)
@@ -115,8 +126,7 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.reps < 1:
-        raise ValueError(f"--reps must be at least 1, got {args.reps}")
+    _at_least_one(args, "reps")
     p = _parse_profile(args.p)
     cn = args.cn if args.cn is not None else int(args.n**args.cn_exp)
     if args.experiment == "tau":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -68,7 +69,12 @@ def validate(counts: Mapping[int, int]) -> DegreeSequence:
         raise NotAForest(f"counts must map degree -> count, got {type(counts).__name__}")
     clean = {}
     for i, k in counts.items():
-        i, k = int(i), int(k)
+        try:
+            # JSON object keys are strings.
+            i = int(i) if isinstance(i, str) else operator.index(i)
+            k = operator.index(k)
+        except (TypeError, ValueError):
+            raise NotAForest(f"degree {i!r} and its count {k!r} must be integers") from None
         if i < 0 or k < 0:
             raise NotAForest(f"negative entry: degree {i} count {k}")
         if k > 0:

@@ -8,6 +8,7 @@ the shift at the first global minimum.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -23,7 +24,10 @@ class LatticePath:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        v = tuple(int(x) for x in self.values)
+        try:
+            v = tuple(map(operator.index, self.values))
+        except TypeError as exc:
+            raise MalformedBridge(f"path values must be integers: {exc}") from None
         object.__setattr__(self, "values", v)
         if not v or v[0] != 0:
             raise MalformedBridge("path must start at 0")
@@ -81,7 +85,10 @@ class CodingWalk(LatticePath):
 
 def walk_from_degrees(degrees: Sequence[int] | np.ndarray) -> CodingWalk:
     """Partial-sum walk W(j) = sum_{i<=j} (degrees[i] - 1)."""
-    degs = [int(d) for d in degrees]
+    try:
+        degs = list(map(operator.index, degrees))
+    except TypeError as exc:
+        raise NotAWalk(f"degrees must be integers: {exc}") from None
     if any(d < 0 for d in degs):
         raise NotAWalk("degrees must be nonnegative")
     values = [0]

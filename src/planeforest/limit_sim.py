@@ -51,6 +51,86 @@ class ExcursionInterval:
         return self.end - self.start
 
 
+def _first_passage_scan(
+    x: float,
+    dt: float,
+    rng: np.random.Generator,
+    t_cap: float,
+    top: int = 0,
+    keep: list | None = None,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Run B chunk by chunk until it first reaches -x.
+
+    Each chunk is drawn, scaled, summed and shifted in one reused buffer,
+    so without ``keep`` the memory is one chunk however long the draw.
+    Across chunks the scan carries the last value, the running minimum
+    and the index of the last running-minimum record; a chunk that stays
+    above the minimum has neither a record nor the crossing.  With
+    ``top`` > 0 it keeps the ``top`` longest excursions above the running
+    minimum as (start, end) step indices; with a list ``keep`` it appends
+    a copy of every chunk.  Returns (tau, starts, ends).
+    """
+    if x <= 0 or dt <= 0:
+        raise ValueError("x and dt must be positive")
+    sqdt = math.sqrt(dt)
+    max_steps = int(t_cap / dt)
+    buf = np.empty(max(0, min(_CHUNK, max_steps)))
+    mins = np.empty_like(buf) if top else None
+    starts = ends = np.empty(0, dtype=np.int64)
+    last = run_min = 0.0
+    last_rec = steps = 0
+    while True:
+        m = min(_CHUNK, max_steps - steps)
+        if m <= 0:
+            raise CapExceeded(f"no passage of -{x} before t_cap={t_cap}")
+        block = buf[:m]
+        rng.standard_normal(out=block)
+        block *= sqdt
+        np.cumsum(block, out=block)
+        block += last
+        tau = None
+        low = block.min()
+        if low <= run_min:
+            if low <= -x:
+                i = int(np.argmax(block <= -x))
+                prev = block[i - 1] if i else last
+                # Linear interpolation of the crossing inside the last step.
+                frac = (prev + x) / (prev - block[i])
+                tau = (steps + i + frac) * dt
+                block = block[: i + 1]
+            if top:
+                run = np.minimum.accumulate(block, out=mins[: len(block)])
+                np.minimum(run, run_min, out=run)
+                zeros = np.flatnonzero(block <= run)
+                zeros += steps + 1
+                starts, ends = _rank_gaps(
+                    np.concatenate(([last_rec], zeros)), dt, top, starts, ends
+                )
+                last_rec = int(zeros[-1])
+            run_min = min(run_min, low)
+        if keep is not None:
+            keep.append(block.copy())
+        if tau is not None:
+            return tau, starts, ends
+        last = block[-1]
+        steps += m
+
+
+def _rank_gaps(zeros, dt, top, starts, ends):
+    """Add the excursions between consecutive zeros of B - min B to (starts, ends).
+
+    ``zeros`` are increasing step indices; a gap of at least 2 steps is an
+    excursion of length e*dt - s*dt.  Returns the ``top`` longest (all for
+    None), longest first, grid ties broken by earlier start.
+    """
+    s, e = zeros[:-1], zeros[1:]
+    wide = e - s >= 2
+    starts = np.concatenate((starts, s[wide]))
+    ends = np.concatenate((ends, e[wide]))
+    order = np.lexsort((starts, -(ends * dt - starts * dt)))[:top]
+    return starts[order], ends[order]
+
+
 def simulate_to_hit(
     x: float,
     dt: float,
@@ -62,32 +142,9 @@ def simulate_to_hit(
     Raises CapExceeded once the simulated time passes t_cap: tau has
     infinite mean, so callers must either accept censoring or re-raise.
     """
-    if x <= 0 or dt <= 0:
-        raise ValueError("x and dt must be positive")
-    sqdt = math.sqrt(dt)
     chunks = [np.zeros(1)]
-    last = 0.0
-    steps = 0
-    max_steps = int(t_cap / dt)
-    while True:
-        m = min(_CHUNK, max_steps - steps)
-        if m <= 0:
-            raise CapExceeded(f"no passage of -{x} before t_cap={t_cap}")
-        block = last + np.cumsum(rng.standard_normal(m) * sqdt)
-        hit = np.flatnonzero(block <= -x)
-        if hit.size:
-            i = int(hit[0])
-            chunks.append(block[: i + 1])
-            values = np.concatenate(chunks)
-            prev = values[-2]
-            cur = values[-1]
-            # Linear interpolation of the crossing inside the last step.
-            frac = (prev + x) / (prev - cur)
-            tau = (len(values) - 2 + frac) * dt
-            return BrownianPath(dt, values), tau
-        chunks.append(block)
-        last = float(block[-1])
-        steps += m
+    tau, _, _ = _first_passage_scan(x, dt, rng, t_cap, keep=chunks)
+    return BrownianPath(dt, np.concatenate(chunks)), tau
 
 
 def reflect_at_min(path: BrownianPath) -> BrownianPath:
@@ -102,20 +159,14 @@ def ranked_excursions(path: BrownianPath) -> list[ExcursionInterval]:
     Zero-set membership is exact at grid points (R = 0 iff a new running
     minimum is attained there).  Grid ties are broken by earlier start.
     """
-    r = path.values - np.minimum.accumulate(path.values)
-    pos = r > 0
-    if not pos.any():
-        return []
-    # Boundaries of maximal positive runs.
-    edges = np.diff(pos.astype(np.int8))
-    starts = np.flatnonzero(edges == 1)  # last zero before each excursion
-    ends = np.flatnonzero(edges == -1) + 1
-    if pos[-1]:
-        ends = np.append(ends, len(r) - 1)
     dt = path.dt
-    ivals = [ExcursionInterval(s * dt, e * dt) for s, e in zip(starts, ends)]
-    ivals.sort(key=lambda iv: (-iv.length, iv.start))
-    return ivals
+    r = path.values - np.minimum.accumulate(path.values)
+    zeros = np.flatnonzero(r == 0)
+    end = len(r) - 1
+    # A positive run at the end of the path closes there.
+    tail = np.array([zeros[-1], end] if zeros[-1] < end else [], dtype=np.int64)
+    starts, ends = _rank_gaps(zeros, dt, None, tail[:1], tail[1:])
+    return [ExcursionInterval(s * dt, e * dt) for s, e in zip(starts, ends)]
 
 
 def tau_density(t, sigma: float):
@@ -170,14 +221,13 @@ def sample_limit_vector(
     """
     if sigma <= 0 or top_j < 1:
         raise DomainError("need sigma > 0 and top_j >= 1")
-    path, tau = simulate_to_hit(1.0 / sigma, dt, rng, t_cap=t_cap)
-    ivals = ranked_excursions(path)[:top_j]
+    chunks = [np.zeros(1)] if keep_subpaths else None
+    tau, starts, ends = _first_passage_scan(1.0 / sigma, dt, rng, t_cap, top_j, chunks)
     lengths = np.zeros(top_j)
-    lengths[: len(ivals)] = [iv.length for iv in ivals]
+    lengths[: len(starts)] = ends * dt - starts * dt
     subpaths = []
     if keep_subpaths:
-        r = path.values - np.minimum.accumulate(path.values)
-        for iv in ivals:
-            a, b = int(round(iv.start / dt)), int(round(iv.end / dt))
-            subpaths.append(r[a : b + 1] - r[a])
+        v = np.concatenate(chunks)
+        r = v - np.minimum.accumulate(v)
+        subpaths = [r[a : b + 1] - r[a] for a, b in zip(starts, ends)]
     return LimitReplicate(tau=tau, lengths=lengths, subpaths=subpaths)

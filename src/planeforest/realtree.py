@@ -59,9 +59,6 @@ class CodingFunction:
             m = min(m, float(self.values[inside].min()))
         return m
 
-    def to_csv(self) -> str:
-        return "\n".join(f"{t},{v}" for t, v in zip(self.times, self.values))
-
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
@@ -271,7 +268,9 @@ def ghp_distance_bruteforce(x: FiniteMetricSpace, y: FiniteMetricSpace, cap: int
     term at most max(D/2, pi(outside R)), so the bound is
     ``D/2 + max(D/2, min-coupling mass outside R)``.  The minimum is taken
     over all map-pair correspondences, with the coupling solved exactly as
-    a transport LP (which dominates any fixed-grid coupling search).
+    a transport LP (which dominates any fixed-grid coupling search).  The
+    bound is at least D, so only map pairs with D below the best bound so
+    far can lower it, and the search stops at an exact 0.
     """
     if x.size > cap or y.size > cap:
         raise TooLarge(f"brute force capped at {cap} points")
@@ -279,12 +278,14 @@ def ghp_distance_bruteforce(x: FiniteMetricSpace, y: FiniteMetricSpace, cap: int
         raise ValueError("GHP needs mass vectors on both spaces")
     nx, ny = x.size, y.size
     best = np.inf
-    for f, g, dis in _map_pairs(x.dist, y.dist, lambda: 2.0 * best):
+    for f, g, dis in _map_pairs(x.dist, y.dist, lambda: best):
         mask = np.zeros((nx, ny), dtype=bool)
         mask[range(nx), f] = True
         mask[g, range(ny)] = True
         outside = _min_coupling_outside(mask, x.masses, y.masses)
         best = min(best, dis / 2.0 + max(dis / 2.0, outside))
+        if best == 0.0:
+            break
     return float(best)
 
 

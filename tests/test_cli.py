@@ -176,6 +176,7 @@ def test_verify_cn_exponent(capsys):
     ("degseq", "make", "--n", "500", "--c", "8"),
     ("degseq", "check"),
     ("verify", "largest", "--n", "4000", "--reps", "0", "--seed", "1"),
+    ("codec", "decode"),
 ])
 def test_missing_or_empty_arguments_are_invalid(capsys, argv):
     code = main(list(argv))
@@ -192,9 +193,24 @@ def test_missing_or_empty_arguments_are_invalid(capsys, argv):
     ("codec", "encode", "--tree", "[1.5,-0.5]"),
     ("codec", "encode", "--tree", "[3,2,-1,0,0]"),
     ("codec", "encode", "--tree", "[[1]]"),
+    ("codec", "decode", "--bridge", "[0,1.5,0,-1]"),
+    ("codec", "decode", "--bridge", "[[1]]"),
+    ("codec", "decode", "--bridge", "5"),
+    ("codec", "split", "--walk", "[[0]]"),
+    ("degseq", "check", "--counts", '{"0": 1.5, "1": 2}'),
+    ("sample", "forest", "--degseq", 'file:{"counts": {"0": 1.5, "1": 2}}', "--seed", "1"),
+    ("sample", "forest", "--degseq", 'file:{"counts": {"0": 4, "2": 2}}', "--seed", "1",
+     "--format", "csv", "--top", "-1"),
+    ("sample", "forest", "--degseq", 'file:{"counts": {"0": 4, "2": 2}}', "--seed", "1",
+     "--count", "-2"),
+    ("limit", "excursions", "--sigma", "1", "--seed", "1", "--top", "0"),
+    ("limit", "excursions", "--sigma", "1", "--seed", "1", "--count", "-2"),
 ], ids=["degrees_rank_above_c", "counts_not_a_mapping", "degseq_file_without_counts",
         "degseq_file_is_a_list", "tree_float_entries", "tree_negative_entry",
-        "tree_nested_list"])
+        "tree_nested_list", "bridge_float_entries", "bridge_nested_list",
+        "bridge_not_a_sequence", "walk_nested_list", "counts_fractional",
+        "degseq_file_fractional_counts", "sample_top_negative", "sample_count_negative",
+        "limit_top_zero", "limit_count_negative"])
 def test_malformed_inputs_are_invalid(tmp_path, capsys, argv):
     # "file:<text>" stands for the path of a file that holds <text>.
     for i, arg in enumerate(argv):

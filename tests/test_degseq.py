@@ -48,6 +48,20 @@ def test_validate_rejects_bad_input():
         validate({-1: 2, 0: 3})
     with pytest.raises(NotAForest):
         validate({0: -2})
+    with pytest.raises(NotAForest):
+        validate({"0": 1.5, "1": 2})  # was read as {0: 1, 1: 2}
+    with pytest.raises(NotAForest):
+        validate({0: "3"})
+    with pytest.raises(NotAForest):
+        validate({0: 2, 1.5: 1})  # was read as {0: 2, 1: 1}
+    with pytest.raises(NotAForest):
+        validate({"0": 2, "1.5": 1})
+
+
+def test_validate_takes_integer_like_counts():
+    s = validate({0: np.int64(4), "2": 2})
+    assert s.counts == {0: 4, 2: 2}
+    assert all(type(k) is int for k in s.counts.values())
 
 
 def test_degree_vector_weakly_increasing():

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -44,6 +45,22 @@ def test_walk_from_degrees():
         walk_from_degrees((1, 1, 1))  # ends at 0
     with pytest.raises(NotAWalk):
         walk_from_degrees((2, -1, 0))
+    with pytest.raises(NotAWalk):
+        walk_from_degrees((1.5, 0, 0))  # was read as (1, 0, 0)
+    assert walk_from_degrees(np.array([2, 0, 0])).values == (0, 1, 0, -1)
+
+
+@pytest.mark.parametrize("values", [(0, 1.5, 0, -1), (0, 1.0, 0, -1), ([0], -1), 5, ("0", -1)],
+                         ids=["fraction", "integral_float", "nested", "not_a_sequence", "string"])
+def test_path_values_must_be_integers(values):
+    with pytest.raises(MalformedBridge):
+        LatticeBridge(values)
+
+
+def test_path_values_take_numpy_integers_as_python_ints():
+    b = FirstPassageBridge(np.array([0, 1, 0, -1]))
+    assert b.values == (0, 1, 0, -1)
+    assert all(type(x) is int for x in b.values)
 
 
 def test_rotation_index_worked_example():

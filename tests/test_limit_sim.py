@@ -1,6 +1,7 @@
 """Brownian first-passage simulation, excursions, and the tau(1/sigma) law."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from planeforest import (
+    BrownianPath,
     ks_one_sample,
     ranked_excursions,
     reflect_at_min,
@@ -19,6 +21,7 @@ from planeforest import (
     tau_cdf,
     tau_density,
 )
+from planeforest import limit_sim
 from planeforest.errors import CapExceeded, DomainError
 
 
@@ -146,3 +149,113 @@ def test_sample_limit_vector_mean_tau():
     med = float(np.median(taus))
     exact_med = 1.0 / (sig * norm.ppf(0.75)) ** 2
     assert med == pytest.approx(exact_med, rel=0.25)
+
+
+def _path_reference(sigma, top_j, dt, rng, t_cap):
+    """tau and zero-padded top lengths from the whole path, or the CapExceeded text."""
+    try:
+        path, tau = simulate_to_hit(1.0 / sigma, dt, rng, t_cap=t_cap)
+    except CapExceeded as exc:
+        return str(exc)
+    lengths = np.zeros(top_j)
+    ivals = ranked_excursions(path)[:top_j]
+    lengths[: len(ivals)] = [iv.length for iv in ivals]
+    return tau, lengths
+
+
+def _streamed(sigma, top_j, dt, rng, t_cap):
+    try:
+        rep = sample_limit_vector(sigma, top_j, dt, rng, t_cap=t_cap, keep_subpaths=False)
+    except CapExceeded as exc:
+        return str(exc)
+    assert not rep.subpaths
+    return rep.tau, rep.lengths
+
+
+@pytest.mark.parametrize("chunk,dt,t_cap", [
+    (None, 1e-4, 10.0),  # default chunks; paths up to 1e5 steps
+    (1, 1e-2, 3.0),
+    (2, 1e-2, 3.0),
+    (7, 5e-3, 3.0),
+])
+def test_streamed_draw_equals_path_reference(monkeypatch, chunk, dt, t_cap):
+    # Both sides run at the same chunk size, so they see the same path;
+    # tiny chunks put hits and running-minimum records on chunk boundaries.
+    if chunk is not None:
+        monkeypatch.setattr(limit_sim, "_CHUNK", chunk)
+    draws, censored = 60, 0
+    for i in range(draws):
+        sigma = (1.0, math.sqrt(2.0), 0.7)[i % 3]
+        top_j = 1 + i % 4
+        want = _path_reference(sigma, top_j, dt, substream(31, i), t_cap)
+        got = _streamed(sigma, top_j, dt, substream(31, i), t_cap)
+        if isinstance(want, str):
+            assert got == want
+            censored += 1
+            continue
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
+    assert 0 < censored < draws
+
+
+def test_streamed_subpaths_match_the_path():
+    for i in range(40):
+        try:
+            rep = sample_limit_vector(1.0, 3, 1e-3, substream(32, i), t_cap=5.0)
+        except CapExceeded:
+            continue
+        got = _streamed(1.0, 3, 1e-3, substream(32, i), 5.0)
+        assert rep.tau == got[0]
+        assert rep.lengths.tobytes() == got[1].tobytes()
+        for sub, length in zip(rep.subpaths, rep.lengths):
+            assert len(sub) - 1 == round(length / 1e-3)
+            assert sub[0] == 0.0 and sub[-1] == 0.0 and (sub[1:-1] > 0).all()
+
+
+@pytest.mark.parametrize("chunk", [1, None])
+def test_simulate_to_hit_equals_one_cumsum(monkeypatch, chunk):
+    # With one-step chunks, or a path inside one chunk, the path is the
+    # cumulative sum of the same normals taken in one call.
+    if chunk is not None:
+        monkeypatch.setattr(limit_sim, "_CHUNK", chunk)
+    x, dt = 0.5, 1e-3
+    for i in range(30):
+        try:
+            path, tau = simulate_to_hit(x, dt, substream(33, i), t_cap=8.0)
+        except CapExceeded:
+            continue
+        z = substream(33, i).standard_normal(len(path.values) - 1)
+        walk = np.concatenate(([0.0], np.cumsum(z * math.sqrt(dt))))
+        assert path.values.tobytes() == walk.tobytes()
+        hit = int(np.argmax(walk <= -x))
+        assert hit == len(walk) - 1
+        frac = (walk[hit - 1] + x) / (walk[hit - 1] - walk[hit])
+        assert tau == (hit - 1 + frac) * dt
+
+
+def test_ranked_excursions_match_a_plain_loop():
+    # Integer-valued paths have ties in the running minimum and paths that
+    # end inside an excursion.
+    rng = rng_from_seed(34)
+    for _ in range(500):
+        v = np.concatenate(([0], np.cumsum(rng.integers(-2, 3, rng.integers(0, 25)))))
+        zeros = [k for k in range(len(v)) if v[k] == v[: k + 1].min()]
+        gaps = [(s, e) for s, e in zip(zeros, zeros[1:]) if e - s >= 2]
+        if zeros[-1] < len(v) - 1:
+            gaps.append((zeros[-1], len(v) - 1))
+        gaps.sort(key=lambda g: (-(g[1] * 0.5 - g[0] * 0.5), g[0]))
+        got = ranked_excursions(BrownianPath(0.5, v))
+        assert [(e.start, e.end) for e in got] == [(s * 0.5, e * 0.5) for s, e in gaps]
+
+
+def test_censored_streamed_draw_holds_one_chunk():
+    # x = 100 is not reached before t_cap = 500, so all 5e6 steps are drawn;
+    # a path-keeping draw holds 40 MB of them.
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            sample_limit_vector(0.01, 2, 1e-4, substream(35, 0), t_cap=500.0, keep_subpaths=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6

@@ -186,6 +186,9 @@ def test_gh_distance_scaling_invariance_of_labels():
 def test_ghp_distance_identical_and_swapped_masses():
     a = FiniteMetricSpace(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
     assert ghp_distance_bruteforce(a, a) == 0.0
+    for lex in [(3, 0, 0, 0), (1, 2, 0, 0), (2, 1, 0, 0)]:
+        m = tree_graph_metric(PlaneTree(lex))
+        assert ghp_distance_bruteforce(m, m) == 0.0
     # swapping the masses of an edge with a symmetry is still isometric
     b = FiniteMetricSpace(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.2, 0.8]))
     c = FiniteMetricSpace(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.8, 0.2]))
@@ -231,3 +234,22 @@ def test_random_coding_snapshots_are_pseudometrics():
         snap = metric_snapshot(g, rng.uniform(0.0, 1.0, size=6))
         # constructor re-checks symmetry/triangle; verify four-point on top
         assert four_point_holds(snap.dist)
+
+
+@pytest.mark.parametrize("px,mx,py,my,want", [
+    ([1.31, 3.95], [0.97, 0.49], [1.27, 3.15], [0.54, 0.47], "0x1.851eb851eb854p-1"),
+    ([0.43, 1.92, 0.97], [0.91, 0.52, 0.36], [1.03, 0.74, 0.78], [0.69, 0.7, 0.75],
+     "0x1.3333333333333p+0"),
+    ([3.65, 0.6, 1.49], [0.49, 0.72, 0.55], [1.14, 0.07, 0.73, 1.58], [0.71, 0.32, 0.23, 0.43],
+     "0x1.8a3d70a3d70a3p+0"),
+    ([0.38, 1.46, 1.84, 2.88], [0.82, 1.09, 0.22, 0.48], [3.47, 0.21, 3.82], [0.6, 0.85, 0.41],
+     "0x1.170a3d70a3d71p+1"),
+])
+def test_ghp_values_on_points_of_a_line(px, mx, py, my, want):
+    # Values from the search that solved the coupling LP at every map pair
+    # with distortion below twice the best bound.
+    def space(p, m):
+        p, m = np.array(p), np.array(m)
+        return FiniteMetricSpace(np.abs(p[:, None] - p[None, :]), m / m.sum())
+
+    assert ghp_distance_bruteforce(space(px, mx), space(py, my)) == float.fromhex(want)
