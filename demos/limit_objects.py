@@ -34,17 +34,8 @@ for e in excursions[:5]:
     print(f"    [{e.start:8.4f}, {e.end:8.4f}]  length {e.length:.4f}")
 
 # --- ranked excursion lengths across replicates -------------------------------
-top1 = []
-idx = 0
-while len(top1) < 100:
-    try:
-        rep = pf.sample_limit_vector(SIGMA, 2, 1e-3, pf.substream(SEED, 10 + idx),
-                                     t_cap=200.0, keep_subpaths=False)
-    except pf.errors.CapExceeded:
-        idx += 1
-        continue
-    top1.append(rep.lengths[0])
-    idx += 1
+_, _, lengths = pf.uncensored_limit_draws(SIGMA, 2, 1e-3, 100, SEED, first=10, t_cap=200.0)
+top1 = lengths[:, 0]
 
 print(f"\ntop excursion length over 100 replicates:")
 print(f"  mean {np.mean(top1):.3f}   median {np.median(top1):.3f}   max {np.max(top1):.3f}")

@@ -49,6 +49,7 @@ from .limit_sim import (
     simulate_to_hit,
     tau_cdf,
     tau_density,
+    uncensored_limit_draws,
 )
 from .realtree import (
     CodingFunction,

@@ -113,14 +113,11 @@ def _cmd_limit(args) -> int:
         samples = limit_sim.sample_tau_exact(args.sigma, rng, size=args.count)
         _write(args.out, "tau\n" + "\n".join(f"{float(x):.12g}" for x in samples))
     else:  # excursions
-        records = []
-        for rep in range(args.count):
-            rng = sampler.substream(args.seed, rep)
-            r = limit_sim.sample_limit_vector(
-                args.sigma, args.top, args.dt, rng, keep_subpaths=False
-            )
-            records.append({"replicate": rep, "seed": args.seed, "tau": r.tau,
-                            "lengths": list(r.lengths)})
+        draws = limit_sim.uncensored_limit_draws(
+            args.sigma, args.top, args.dt, args.count, args.seed
+        )
+        records = [{"replicate": int(i), "seed": args.seed, "tau": tau, "lengths": list(lengths)}
+                   for i, tau, lengths in zip(*draws)]
         _write(args.out, "\n".join(json.dumps(rec) for rec in records))
     return EXIT_OK
 

@@ -10,12 +10,13 @@ gives both an exact sampler and the reference CDF for every tau check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm
 
 from .errors import CapExceeded, DomainError
+from .sampler import substream
 
 _CHUNK = 1 << 15
 
@@ -31,10 +32,6 @@ class BrownianPath:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values[0] != 0.0:
             raise ValueError("path must start at 0")
-
-    @property
-    def duration(self) -> float:
-        return (len(self.values) - 1) * self.dt
 
 
 @dataclass(frozen=True)
@@ -62,13 +59,13 @@ def _first_passage_scan(
     """Run B chunk by chunk until it first reaches -x.
 
     Each chunk is drawn, scaled, summed and shifted in one reused buffer,
-    so without ``keep`` the memory is one chunk however long the draw.
+    so with ``top`` > 0 the memory is one chunk however long the draw.
     Across chunks the scan carries the last value, the running minimum
     and the index of the last running-minimum record; a chunk that stays
     above the minimum has neither a record nor the crossing.  With
     ``top`` > 0 it keeps the ``top`` longest excursions above the running
-    minimum as (start, end) step indices; with a list ``keep`` it appends
-    a copy of every chunk.  Returns (tau, starts, ends).
+    minimum as (start, end) step indices; otherwise it appends a copy of
+    every chunk to the list ``keep``.  Returns (tau, starts, ends).
     """
     if x <= 0 or dt <= 0:
         raise ValueError("x and dt must be positive")
@@ -108,7 +105,7 @@ def _first_passage_scan(
                 )
                 last_rec = int(zeros[-1])
             run_min = min(run_min, low)
-        if keep is not None:
+        if not top:
             keep.append(block.copy())
         if tau is not None:
             return tau, starts, ends
@@ -197,11 +194,10 @@ def sample_tau_exact(sigma: float, rng: np.random.Generator, size: int | None = 
 
 @dataclass
 class LimitReplicate:
-    """One draw of (tau, ranked excursion lengths, shifted excursion paths)."""
+    """One draw of tau and the ranked excursion lengths."""
 
     tau: float
     lengths: np.ndarray
-    subpaths: list[np.ndarray] = field(default_factory=list)
 
 
 def sample_limit_vector(
@@ -210,24 +206,53 @@ def sample_limit_vector(
     dt: float,
     rng: np.random.Generator,
     t_cap: float = 1000.0,
-    keep_subpaths: bool = True,
 ) -> LimitReplicate:
     """Simulate the limit triple's excursion data at level x = 1/sigma.
 
-    Returns tau(1/sigma), the top_j ranked excursion lengths (zero-padded)
-    and, optionally, the excursion sub-paths shifted to start at 0; the
-    tree coded by twice such a sub-path is the limit of the matching small
-    tree.  CapExceeded propagates from the underlying simulation.
+    Returns tau(1/sigma) and the top_j ranked excursion lengths
+    (zero-padded).  CapExceeded propagates from the underlying simulation.
+    The excursion sub-paths, whose doubles code the limits of the small
+    trees, come from simulate_to_hit, reflect_at_min and ranked_excursions.
     """
     if sigma <= 0 or top_j < 1:
         raise DomainError("need sigma > 0 and top_j >= 1")
-    chunks = [np.zeros(1)] if keep_subpaths else None
-    tau, starts, ends = _first_passage_scan(1.0 / sigma, dt, rng, t_cap, top_j, chunks)
+    tau, starts, ends = _first_passage_scan(1.0 / sigma, dt, rng, t_cap, top_j)
     lengths = np.zeros(top_j)
     lengths[: len(starts)] = ends * dt - starts * dt
-    subpaths = []
-    if keep_subpaths:
-        v = np.concatenate(chunks)
-        r = v - np.minimum.accumulate(v)
-        subpaths = [r[a : b + 1] - r[a] for a, b in zip(starts, ends)]
-    return LimitReplicate(tau=tau, lengths=lengths, subpaths=subpaths)
+    return LimitReplicate(tau=tau, lengths=lengths)
+
+
+def uncensored_limit_draws(
+    sigma: float,
+    top_j: int,
+    dt: float,
+    count: int,
+    seed: int,
+    first: int = 0,
+    t_cap: float = 1000.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first ``count`` uncensored sample_limit_vector draws.
+
+    The draws run on substreams first, first + 1, ... of ``seed``; one that
+    passes t_cap raises CapExceeded and is skipped.  Returns the substream
+    index, tau and top_j lengths of each kept draw as arrays of shapes
+    (count,), (count,) and (count, top_j); the draws skipped on the way
+    number indices[-1] + 1 - first - count.  Once more than count + 20
+    draws are censored, sigma is taken to be too small for t_cap and that
+    CapExceeded is raised rather than drawing on.
+    """
+    indices = np.empty(count, dtype=np.int64)
+    taus = np.empty(count)
+    lengths = np.empty((count, top_j))
+    row, idx = 0, first
+    while row < count:
+        try:
+            rep = sample_limit_vector(sigma, top_j, dt, substream(seed, idx), t_cap)
+        except CapExceeded:
+            if idx + 1 - first - row > count + 20:
+                raise
+        else:
+            indices[row], taus[row], lengths[row] = idx, rep.tau, rep.lengths
+            row += 1
+        idx += 1
+    return indices, taus, lengths

@@ -88,14 +88,6 @@ class FiniteMetricSpace:
     def size(self) -> int:
         return self.dist.shape[0]
 
-    def to_json(self) -> str:
-        import json
-
-        obj = {"dist": self.dist.tolist()}
-        if self.masses is not None:
-            obj["masses"] = self.masses.tolist()
-        return json.dumps(obj)
-
 
 def coding_pseudometric(g: CodingFunction, s: float, t: float) -> float:
     """d(s, t) = g(s) + g(t) - 2 * min of g between s and t."""
@@ -140,10 +132,8 @@ def _depths(t: PlaneTree) -> np.ndarray:
     return np.array(depth)
 
 
-def tree_graph_metric(
-    t: PlaneTree, scale: float = 1.0, mass_per_node: float | None = None
-) -> FiniteMetricSpace:
-    """Graph distances of a plane tree, rescaled, with uniform node masses."""
+def tree_graph_metric(t: PlaneTree) -> FiniteMetricSpace:
+    """Graph distances of a plane tree, with uniform node masses."""
     n = t.size
     par = t.parents()
     depth = _depths(t)
@@ -160,9 +150,8 @@ def tree_graph_metric(
                 a, b = par[a], par[b]
                 da -= 1
             dist[i, j] = dist[j, i] = depth[i] + depth[j] - 2 * da
-    mass = 1.0 / n if mass_per_node is None else mass_per_node
-    masses = np.full(n, mass)
-    return FiniteMetricSpace(dist * scale, masses / masses.sum())
+    masses = np.full(n, 1.0 / n)
+    return FiniteMetricSpace(dist, masses / masses.sum())
 
 
 def contour_function(t: PlaneTree) -> CodingFunction:

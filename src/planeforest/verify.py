@@ -20,10 +20,11 @@ import scipy.stats
 
 from .degseq import DegreeSequence, degree_vector, empirical, limit_sigma, make_degree_sequence
 from .errors import EmptySample
-from .limit_sim import sample_limit_vector, tau_cdf
+from .limit_sim import tau_cdf, uncensored_limit_draws
 from .sampler import substream, walk_statistics
 
 DEFAULT_T_CAP = 500.0
+LIMIT_FIRST = 10_000_000  # substream index of the first limit draw
 
 
 # ---------------------------------------------------------------------------
@@ -83,14 +84,18 @@ class ExperimentReport:
         )
 
 
-def _setup(p, n: int, cn: int, seed: int) -> tuple[DegreeSequence, float]:
-    s = make_degree_sequence(p, n, cn, seed)
-    return s, limit_sigma(s)
-
-
 def _check_reps(reps: int):
     if reps < 1:
         raise EmptySample(f"need at least one replicate, got reps={reps}")
+
+
+def _setup(p, n: int, cn: int, reps: int, seed: int) -> tuple[DegreeSequence, float]:
+    """Check reps and the supercritical regime, then build the degree sequence."""
+    _check_reps(reps)
+    if cn > n**0.4:
+        raise ValueError(f"cn={cn} outside the supercritical regime (cn <= n^0.4)")
+    s = make_degree_sequence(p, n, cn, seed)
+    return s, limit_sigma(s)
 
 
 def _params(p, extra: Mapping) -> dict:
@@ -106,10 +111,7 @@ def _params(p, extra: Mapping) -> dict:
 def experiment_tau(p, n: int, cn: int, reps: int, seed: int, tol: float = 0.12) -> ExperimentReport:
     """KS of (n - largest tree)/cn^2 and tau_n/cn^2 against the tau(1/sigma) CDF."""
     t0 = time.perf_counter()
-    _check_reps(reps)
-    if cn > n**0.4:
-        raise ValueError(f"cn={cn} outside the supercritical regime (cn <= n^0.4)")
-    s, sigma = _setup(p, n, cn, seed)
+    s, sigma = _setup(p, n, cn, reps, seed)
     small_mass = np.empty(reps)
     taus = np.empty(reps)
     for rep in range(reps):
@@ -144,7 +146,7 @@ def experiment_tree_sizes(
 ) -> ExperimentReport:
     """Ranked small-tree sizes / cn^2 vs simulated ranked excursion lengths."""
     t0 = time.perf_counter()
-    s, sigma = _setup(p, n, cn, seed)
+    s, sigma = _setup(p, n, cn, reps, seed)
     forest_side = np.empty((reps, top_j))
     sums = np.empty(reps)
     for rep in range(reps):
@@ -154,24 +156,11 @@ def experiment_tree_sizes(
         forest_side[rep] = padded[1 : top_j + 1] / cn**2
         sums[rep] = (n - ranked[0]) / cn**2
 
-    limit_side = np.empty((limit_reps, top_j))
-    censored = 0
-    row = 0
-    idx = 0
-    from .errors import CapExceeded
-
-    while row < limit_reps:
-        rng = substream(seed, 10_000_000 + idx)
-        idx += 1
-        try:
-            rep = sample_limit_vector(sigma, top_j, dt, rng, t_cap=t_cap, keep_subpaths=False)
-        except CapExceeded:
-            censored += 1
-            continue
-        limit_side[row] = rep.lengths
-        row += 1
-
+    idx, _, limit_side = uncensored_limit_draws(
+        sigma, top_j, dt, limit_reps, seed, first=LIMIT_FIRST, t_cap=t_cap
+    )
     ks = [ks_two_sample(forest_side[:, j], limit_side[:, j]) for j in range(top_j)]
+    censored = int(idx[-1]) + 1 - LIMIT_FIRST - limit_reps
     monotone = bool(np.all(np.diff(forest_side, axis=1) <= 0))
     report = ExperimentReport(
         "tree_sizes",
@@ -193,7 +182,7 @@ def experiment_walk(
 ) -> ExperimentReport:
     """Marginals of the rescaled coding walk against Normal(0, sigma^2 t)."""
     t0 = time.perf_counter()
-    s, sigma = _setup(p, n, cn, seed)
+    s, sigma = _setup(p, n, cn, reps, seed)
     dvec = degree_vector(s)
     t_points = [float(t) for t in t_points]
     ks_idx = [math.floor(t * cn**2) for t in t_points]
@@ -248,10 +237,9 @@ def experiment_degrees(
 ) -> ExperimentReport:
     """Per-tree empirical degree distributions against the global one."""
     t0 = time.perf_counter()
-    _check_reps(reps)
+    s, _ = _setup(p, n, cn, reps, seed)
     if min(trees) < 1:
         raise ValueError("tree ranks start at 1")
-    s, _ = _setup(p, n, cn, seed)
     if max(trees) > s.c:
         raise ValueError(f"tree rank {max(trees)} exceeds the tree count c = {s.c}")
     emp = empirical(s)
@@ -289,8 +277,7 @@ def experiment_degrees(
 def experiment_largest_marked(p, n: int, cn: int, reps: int, seed: int, tol: float = 0.95) -> ExperimentReport:
     """Frequency of the marked tree being the largest tree, with a CI."""
     t0 = time.perf_counter()
-    _check_reps(reps)
-    s, _ = _setup(p, n, cn, seed)
+    s, _ = _setup(p, n, cn, reps, seed)
     hits = sum(walk_statistics(s, substream(seed, rep)).largest_is_marked for rep in range(reps))
     freq = hits / reps
     half_ci = 1.96 * math.sqrt(max(freq * (1 - freq), 1e-12) / reps)

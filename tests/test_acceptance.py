@@ -33,7 +33,6 @@ from planeforest import (
     rng_from_seed,
     rotation_index,
     sample_forest,
-    sample_limit_vector,
     sample_mcf,
     sample_tau_exact,
     substream,
@@ -41,11 +40,11 @@ from planeforest import (
     tau_cdf,
     tau_density,
     tree_graph_metric,
+    uncensored_limit_draws,
     validate,
     walk_from_mcf,
     walk_statistics,
 )
-from planeforest.errors import CapExceeded
 from planeforest.forest_codec import (
     bridge_from_marked_tree,
     dfw_decode,
@@ -324,19 +323,7 @@ def test_criterion_10_limit_law_internals():
     integral, _ = quad(lambda t: tau_density(t, SIGMA), 0, np.inf)
 
     def top_lengths(dt, base, reps):
-        out = np.empty(reps)
-        got = idx = 0
-        while got < reps:
-            try:
-                rep = sample_limit_vector(SIGMA, 1, dt, substream(base, idx),
-                                          t_cap=60.0, keep_subpaths=False)
-            except CapExceeded:
-                idx += 1
-                continue
-            out[got] = rep.lengths[0]
-            got += 1
-            idx += 1
-        return out
+        return uncensored_limit_draws(SIGMA, 1, dt, reps, base, t_cap=60.0)[2][:, 0]
 
     a = top_lengths(1e-4, SEED + 1, 12_000)
     b = top_lengths(5e-5, SEED + 2, 12_000)

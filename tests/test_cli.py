@@ -149,6 +149,19 @@ def test_limit_excursions(capsys):
         assert row["lengths"] == sorted(row["lengths"], reverse=True)
 
 
+def test_limit_excursions_skip_censored_draws(capsys):
+    # At sigma = 0.2 the draw on substream 5 of seed 6 does not reach -5
+    # before t_cap = 1000; it is skipped, not an error.
+    code, out = run(
+        capsys, "limit", "excursions", "--sigma", "0.2", "--count", "6",
+        "--dt", "0.01", "--top", "2", "--seed", "6",
+    )
+    assert code == EXIT_OK
+    rows = [json.loads(line) for line in out.strip().splitlines()]
+    assert [row["replicate"] for row in rows] == [0, 1, 2, 3, 4, 6]
+    assert all(row["seed"] == 6 and len(row["lengths"]) == 2 for row in rows)
+
+
 def test_verify_exit_codes(tmp_path, capsys):
     # a tiny run with default tolerances: exit code reflects pass/fail only
     out_file = tmp_path / "report.json"

@@ -20,6 +20,7 @@ from planeforest import (
     substream,
     tau_cdf,
     tau_density,
+    uncensored_limit_draws,
 )
 from planeforest import limit_sim
 from planeforest.errors import CapExceeded, DomainError
@@ -116,24 +117,51 @@ def test_sample_limit_vector_deterministic_and_ranked():
     def draw(index):
         # tau is heavy-tailed, so skip (deterministically) past any
         # replicate that would run beyond the time cap
-        i = index
-        while True:
-            try:
-                return i, sample_limit_vector(sig, 3, 1e-3, substream(4, i))
-            except CapExceeded:
-                i += 1
+        idx, taus, lengths = uncensored_limit_draws(sig, 3, 1e-3, 1, 4, first=index)
+        return int(idx[0]), taus[0], lengths[0]
 
-    i, a = draw(0)
-    _, b = draw(i)
-    assert a.tau == b.tau
-    assert np.array_equal(a.lengths, b.lengths)
-    assert len(a.lengths) == 3
-    assert list(a.lengths) == sorted(a.lengths, reverse=True)
-    assert a.tau > 0
-    assert a.lengths[0] <= a.tau
-    assert len(a.subpaths) == 3
-    no_paths = sample_limit_vector(sig, 2, 1e-3, substream(4, 1), keep_subpaths=False)
-    assert not no_paths.subpaths
+    i, tau_a, lengths_a = draw(0)
+    j, tau_b, lengths_b = draw(i)
+    assert j == i and tau_a == tau_b
+    assert np.array_equal(lengths_a, lengths_b)
+    assert len(lengths_a) == 3
+    assert list(lengths_a) == sorted(lengths_a, reverse=True)
+    assert tau_a > 0
+    assert lengths_a[0] <= tau_a
+
+
+def test_uncensored_limit_draws_skip_the_censored_substreams():
+    # At t_cap = 2 about half of the draws at sigma = 1 are censored.
+    sig, dt, t_cap = 1.0, 1e-2, 2.0
+    idx, taus, lengths = uncensored_limit_draws(sig, 2, dt, 12, 36, first=5, t_cap=t_cap)
+    assert idx.shape == taus.shape == (12,) and lengths.shape == (12, 2)
+    assert idx[0] >= 5 and (np.diff(idx) >= 1).all()
+    skipped = sorted(set(range(5, int(idx[-1]) + 1)) - set(idx.tolist()))
+    assert skipped and len(skipped) == int(idx[-1]) + 1 - 5 - 12
+    for i in skipped:
+        with pytest.raises(CapExceeded):
+            sample_limit_vector(sig, 2, dt, substream(36, i), t_cap=t_cap)
+    for i, tau, row in zip(idx, taus, lengths):
+        rep = sample_limit_vector(sig, 2, dt, substream(36, int(i)), t_cap=t_cap)
+        assert rep.tau == tau and rep.lengths.tobytes() == row.tobytes()
+    empty = uncensored_limit_draws(sig, 2, dt, 0, 36)
+    assert [a.shape for a in empty] == [(0,), (0,), (0, 2)]
+
+
+def test_uncensored_limit_draws_give_up_when_most_draws_are_censored(monkeypatch):
+    # x = 100 is never reached before t_cap = 1: 3 + 20 draws are skipped,
+    # the 24th raises instead of looping for ever.
+    calls = []
+    real = limit_sim.sample_limit_vector
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(limit_sim, "sample_limit_vector", counted)
+    with pytest.raises(CapExceeded):
+        uncensored_limit_draws(0.01, 1, 1e-2, 3, 37, t_cap=1.0)
+    assert len(calls) == 24
 
 
 def test_sample_limit_vector_mean_tau():
@@ -165,10 +193,9 @@ def _path_reference(sigma, top_j, dt, rng, t_cap):
 
 def _streamed(sigma, top_j, dt, rng, t_cap):
     try:
-        rep = sample_limit_vector(sigma, top_j, dt, rng, t_cap=t_cap, keep_subpaths=False)
+        rep = sample_limit_vector(sigma, top_j, dt, rng, t_cap=t_cap)
     except CapExceeded as exc:
         return str(exc)
-    assert not rep.subpaths
     return rep.tau, rep.lengths
 
 
@@ -196,20 +223,6 @@ def test_streamed_draw_equals_path_reference(monkeypatch, chunk, dt, t_cap):
         assert got[0] == want[0]
         assert got[1].tobytes() == want[1].tobytes()
     assert 0 < censored < draws
-
-
-def test_streamed_subpaths_match_the_path():
-    for i in range(40):
-        try:
-            rep = sample_limit_vector(1.0, 3, 1e-3, substream(32, i), t_cap=5.0)
-        except CapExceeded:
-            continue
-        got = _streamed(1.0, 3, 1e-3, substream(32, i), 5.0)
-        assert rep.tau == got[0]
-        assert rep.lengths.tobytes() == got[1].tobytes()
-        for sub, length in zip(rep.subpaths, rep.lengths):
-            assert len(sub) - 1 == round(length / 1e-3)
-            assert sub[0] == 0.0 and sub[-1] == 0.0 and (sub[1:-1] > 0).all()
 
 
 @pytest.mark.parametrize("chunk", [1, None])
@@ -254,7 +267,7 @@ def test_censored_streamed_draw_holds_one_chunk():
     tracemalloc.start()
     try:
         with pytest.raises(CapExceeded):
-            sample_limit_vector(0.01, 2, 1e-4, substream(35, 0), t_cap=500.0, keep_subpaths=False)
+            sample_limit_vector(0.01, 2, 1e-4, substream(35, 0), t_cap=500.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

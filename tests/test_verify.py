@@ -121,12 +121,41 @@ def test_experiment_tree_sizes_small_run():
     assert rep.passed["sizes_weakly_decreasing"]
 
 
+def test_experiment_tree_sizes_report_is_pinned():
+    # t_cap = 20 censors 5 of the 45 limit draws on substreams 10_000_000 + k.
+    rep = experiment_tree_sizes(
+        geometric_profile(), 2000, 6, reps=20, top_j=2, seed=1, limit_reps=40, dt=1e-2, t_cap=20.0
+    )
+    assert rep.stats == {
+        "censored_limit_reps": 5,
+        "ks_per_coordinate": [0.275, 0.325],
+        "sigma": 1.39427400463467,
+        "sum_statistic_mean": 2.756944444444444,
+    }
+    assert rep.passed == {"ks_top1": False, "sizes_weakly_decreasing": True}
+
+
 @pytest.mark.parametrize("run", [
     lambda p: experiment_tau(p, 1000, 1, 0, seed=1),  # c = 1 takes the degenerate branch
     lambda p: experiment_largest_marked(p, 1000, 6, 0, seed=1),
     lambda p: experiment_degrees(p, 1000, 6, 0, degrees=(0,), trees=(1,), seed=1),
     lambda p: experiment_concentration(make_degree_sequence(p, 1000, 6), 0, (0.5,), 0, seed=1),
-], ids=["tau_degenerate", "largest_marked", "degrees", "concentration"])
+    lambda p: experiment_tree_sizes(p, 1000, 6, 0, top_j=2, seed=1),
+    lambda p: experiment_walk(p, 1000, 6, 0, (0.5, 1.0), seed=1),
+], ids=["tau_degenerate", "largest_marked", "degrees", "concentration", "tree_sizes", "walk"])
 def test_experiments_reject_zero_reps(run):
     with pytest.raises(EmptySample):
         run(geometric_profile())
+
+
+@pytest.mark.parametrize("run", [
+    lambda p, cn: experiment_tau(p, 1000, cn, 10, seed=1),
+    lambda p, cn: experiment_largest_marked(p, 1000, cn, 10, seed=1),
+    lambda p, cn: experiment_degrees(p, 1000, cn, 10, degrees=(0,), trees=(1,), seed=1),
+    lambda p, cn: experiment_tree_sizes(p, 1000, cn, 10, top_j=2, seed=1),
+    lambda p, cn: experiment_walk(p, 1000, cn, 10, (0.5, 1.0), seed=1),
+], ids=["tau", "largest_marked", "degrees", "tree_sizes", "walk"])
+def test_experiments_reject_cn_above_n_to_the_04(run):
+    # 1000^0.4 = 15.8 < 16
+    with pytest.raises(ValueError, match="supercritical"):
+        run(geometric_profile(), 16)
