@@ -64,7 +64,6 @@ from .realtree import (
     tree_graph_metric,
 )
 from .sampler import (
-    ranked_trees,
     rng_from_seed,
     sample_forest,
     sample_mcf,

@@ -30,7 +30,10 @@ class _Parser(argparse.ArgumentParser):
 def _parse_profile(text: str) -> dict[int, float]:
     """'geometric:0.5' or an inline JSON object of degree -> weight."""
     if text.startswith("{"):
-        return {int(i): float(w) for i, w in json.loads(text).items()}
+        try:
+            return {int(i): float(w) for i, w in json.loads(text).items()}
+        except TypeError as exc:
+            raise ValueError(f"profile weights must be numbers: {exc}") from None
     kind, _, arg = text.partition(":")
     if kind == "geometric":
         return degseq.geometric_profile(float(arg) if arg else 0.5)
@@ -123,7 +126,7 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _at_least_one(args, "reps")
+    _at_least_one(args, "reps", "n")
     p = _parse_profile(args.p)
     cn = args.cn if args.cn is not None else int(args.n**args.cn_exp)
     if args.experiment == "tau":

@@ -185,9 +185,10 @@ def dfw_encode(t: PlaneTree) -> FirstPassageBridge:
 
 
 def dfw_decode(b: LatticePath) -> PlaneTree:
-    """Unique plane tree whose depth-first walk is b; b must be a first-passage bridge."""
-    if not isinstance(b, FirstPassageBridge):
-        b = FirstPassageBridge(b.values)
+    """Unique plane tree whose depth-first walk is b; b must be a first-passage bridge.
+
+    PlaneTree checks the first-passage rule and raises MalformedBridge.
+    """
     return PlaneTree(tuple(x + 1 for x in b.increments()))
 
 
@@ -209,13 +210,9 @@ def bridge_from_marked_tree(t: PlaneTree, mark: int) -> LatticeBridge:
     n = t.size
     if not 1 <= mark <= n:
         raise ValueError(f"mark {mark} outside [1, {n}]")
-    r = n - mark + 1
-    fpb = dfw_encode(t)
-    # Shifting by r sent the original bridge to fpb; undo with n - r.
-    k_back = n - r
-    if k_back == 0:
-        return LatticeBridge(fpb.values)
-    return cyclic_shift(fpb, k_back)
+    # Shifting the bridge by r = n - mark + 1 gave dfw_encode(t); shifting
+    # on by n - r = mark - 1 undoes it, and a shift by n is the identity.
+    return cyclic_shift(dfw_encode(t), mark - 1 or n)
 
 
 def mcf_from_walk(w: CodingWalk) -> MarkedCyclicForest:
@@ -285,27 +282,26 @@ def count_forests(s: DegreeSequence) -> int:
 
 
 def _multiset_permutations(items: Sequence[int]) -> Iterator[list[int]]:
-    """Distinct permutations of a multiset, in lexicographic order."""
-    counts = {}
-    for x in items:
-        counts[x] = counts.get(x, 0) + 1
-    keys = sorted(counts)
-    n = len(items)
-    current: list[int] = []
+    """Distinct permutations of a multiset, in lexicographic order.
 
-    def rec():
-        if len(current) == n:
-            yield list(current)
+    Steps from the sorted list by the next-permutation rule, so the depth
+    of the call stack does not grow with len(items).
+    """
+    a = sorted(items)
+    while True:
+        yield list(a)
+        # The longest non-increasing tail is already the last arrangement of
+        # its entries; raise the entry before it to the next larger one.
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for k in keys:
-            if counts[k] > 0:
-                counts[k] -= 1
-                current.append(k)
-                yield from rec()
-                current.pop()
-                counts[k] += 1
-
-    yield from rec()
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])
 
 
 def enumerate_walks(s: DegreeSequence) -> Iterator[CodingWalk]:
@@ -329,17 +325,6 @@ def enumerate_forests(s: DegreeSequence, cap: int = 10) -> Iterator[PlaneForest]
     """
     if s.n > cap:
         raise TooLarge(f"n={s.n} exceeds enumeration cap {cap}")
-    c = s.c
-    for perm in _multiset_permutations(list(degree_vector(s))):
-        bal = 0
-        ok = True
-        for i, d in enumerate(perm):
-            bal += d - 1
-            if bal <= -c and i < len(perm) - 1:
-                ok = False
-                break
-        if not ok:
-            continue
-        w = walk_from_degrees(perm)
-        segments = split_at_passage_times(w)
-        yield PlaneForest(tuple(dfw_decode(seg) for seg in segments))
+    for w in enumerate_walks(s):
+        if min(w.values[:-1]) > -s.c:
+            yield PlaneForest(tuple(dfw_decode(seg) for seg in split_at_passage_times(w)))

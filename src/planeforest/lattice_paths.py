@@ -155,8 +155,3 @@ def concat_segments(segments: Iterable[LatticeBridge]) -> CodingWalk:
         base = values[-1]
         values.extend(base + x for x in seg.values[1:])
     return CodingWalk(tuple(values))
-
-
-def path_to_csv(path: LatticePath) -> str:
-    """One value per row, for plotting."""
-    return "\n".join(str(v) for v in path.values)

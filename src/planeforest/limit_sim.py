@@ -49,30 +49,24 @@ class ExcursionInterval:
 
 
 def _first_passage_scan(
-    x: float,
-    dt: float,
-    rng: np.random.Generator,
-    t_cap: float,
-    top: int = 0,
-    keep: list | None = None,
+    x: float, dt: float, rng: np.random.Generator, t_cap: float, top: int
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Run B chunk by chunk until it first reaches -x.
+    """Run B chunk by chunk until it first reaches -x, ranking its excursions.
 
     Each chunk is drawn, scaled, summed and shifted in one reused buffer,
-    so with ``top`` > 0 the memory is one chunk however long the draw.
-    Across chunks the scan carries the last value, the running minimum
-    and the index of the last running-minimum record; a chunk that stays
-    above the minimum has neither a record nor the crossing.  With
-    ``top`` > 0 it keeps the ``top`` longest excursions above the running
-    minimum as (start, end) step indices; otherwise it appends a copy of
-    every chunk to the list ``keep``.  Returns (tau, starts, ends).
+    so the memory is one chunk however long the draw.  Across chunks the
+    scan carries the last value, the running minimum and the index of the
+    last running-minimum record; a chunk that stays above the minimum has
+    neither a record nor the crossing.  It keeps the ``top`` longest
+    excursions above the running minimum as (start, end) step indices.
+    Returns (tau, starts, ends).
     """
     if x <= 0 or dt <= 0:
         raise ValueError("x and dt must be positive")
     sqdt = math.sqrt(dt)
     max_steps = int(t_cap / dt)
     buf = np.empty(max(0, min(_CHUNK, max_steps)))
-    mins = np.empty_like(buf) if top else None
+    mins = np.empty_like(buf)
     starts = ends = np.empty(0, dtype=np.int64)
     last = run_min = 0.0
     last_rec = steps = 0
@@ -85,30 +79,24 @@ def _first_passage_scan(
         block *= sqdt
         np.cumsum(block, out=block)
         block += last
-        tau = None
         low = block.min()
         if low <= run_min:
-            if low <= -x:
+            hit = low <= -x
+            if hit:
                 i = int(np.argmax(block <= -x))
                 prev = block[i - 1] if i else last
                 # Linear interpolation of the crossing inside the last step.
                 frac = (prev + x) / (prev - block[i])
-                tau = (steps + i + frac) * dt
                 block = block[: i + 1]
-            if top:
-                run = np.minimum.accumulate(block, out=mins[: len(block)])
-                np.minimum(run, run_min, out=run)
-                zeros = np.flatnonzero(block <= run)
-                zeros += steps + 1
-                starts, ends = _rank_gaps(
-                    np.concatenate(([last_rec], zeros)), dt, top, starts, ends
-                )
-                last_rec = int(zeros[-1])
+            run = np.minimum.accumulate(block, out=mins[: len(block)])
+            np.minimum(run, run_min, out=run)
+            zeros = np.flatnonzero(block <= run)
+            zeros += steps + 1
+            starts, ends = _rank_gaps(np.concatenate(([last_rec], zeros)), dt, top, starts, ends)
+            if hit:
+                return (steps + i + frac) * dt, starts, ends
+            last_rec = int(zeros[-1])
             run_min = min(run_min, low)
-        if not top:
-            keep.append(block.copy())
-        if tau is not None:
-            return tau, starts, ends
         last = block[-1]
         steps += m
 
@@ -139,9 +127,28 @@ def simulate_to_hit(
     Raises CapExceeded once the simulated time passes t_cap: tau has
     infinite mean, so callers must either accept censoring or re-raise.
     """
+    if x <= 0 or dt <= 0:
+        raise ValueError("x and dt must be positive")
+    sqdt = math.sqrt(dt)
+    max_steps = int(t_cap / dt)
     chunks = [np.zeros(1)]
-    tau, _, _ = _first_passage_scan(x, dt, rng, t_cap, keep=chunks)
-    return BrownianPath(dt, np.concatenate(chunks)), tau
+    steps = 0
+    while steps < max_steps:
+        # The same chunks as the streamed scan, so the path has the same bits.
+        block = rng.standard_normal(min(_CHUNK, max_steps - steps))
+        block *= sqdt
+        np.cumsum(block, out=block)
+        block += chunks[-1][-1]
+        below = block <= -x
+        if below.any():
+            i = int(np.argmax(below))
+            prev = block[i - 1] if i else chunks[-1][-1]
+            frac = (prev + x) / (prev - block[i])
+            chunks.append(block[: i + 1])
+            return BrownianPath(dt, np.concatenate(chunks)), (steps + i + frac) * dt
+        chunks.append(block)
+        steps += len(block)
+    raise CapExceeded(f"no passage of -{x} before t_cap={t_cap}")
 
 
 def reflect_at_min(path: BrownianPath) -> BrownianPath:

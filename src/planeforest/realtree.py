@@ -231,19 +231,10 @@ def _min_coupling_outside(r_mask: np.ndarray, mu: np.ndarray, nu: np.ndarray) ->
     """min over couplings of the mass placed outside the correspondence."""
     nx, ny = r_mask.shape
     cost = (~r_mask).astype(float).ravel()
-    a_eq = []
-    b_eq = []
-    for i in range(nx):
-        row = np.zeros(nx * ny)
-        row[i * ny : (i + 1) * ny] = 1.0
-        a_eq.append(row)
-        b_eq.append(mu[i])
-    for j in range(ny):
-        row = np.zeros(nx * ny)
-        row[j::ny] = 1.0
-        a_eq.append(row)
-        b_eq.append(nu[j])
-    res = linprog(cost, A_eq=np.array(a_eq), b_eq=np.array(b_eq), bounds=(0, None), method="highs")
+    # Row sums of the nx-by-ny plan are mu, column sums are nu.
+    a_eq = np.vstack([np.kron(np.eye(nx), np.ones(ny)), np.kron(np.ones(nx), np.eye(ny))])
+    b_eq = np.concatenate([mu, nu])
+    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:
         raise RuntimeError(f"coupling LP failed: {res.message}")
     return float(res.fun)

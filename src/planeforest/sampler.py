@@ -61,13 +61,6 @@ def sample_forest(s: DegreeSequence, rng: np.random.Generator) -> PlaneForest:
     return PlaneForest(trees[k:] + trees[:k])
 
 
-def ranked_trees(f: PlaneForest) -> tuple[PlaneForest, tuple[int, ...]]:
-    """Decreasing size order, ties by original appearance; also the sizes."""
-    sizes = np.array([t.size for t in f.trees])
-    order = np.argsort(-sizes, kind="stable")
-    return PlaneForest(tuple(f.trees[i] for i in order)), tuple(int(sizes[i]) for i in order)
-
-
 @dataclass
 class WalkStatistics:
     """One sampled replicate's O(n) summary.

@@ -164,7 +164,8 @@ def experiment_tree_sizes(
     monotone = bool(np.all(np.diff(forest_side, axis=1) <= 0))
     report = ExperimentReport(
         "tree_sizes",
-        _params(p, {"n": n, "cn": cn, "reps": reps, "top_j": top_j, "seed": seed, "dt": dt}),
+        _params(p, {"n": n, "cn": cn, "reps": reps, "top_j": top_j, "seed": seed, "dt": dt,
+                    "limit_reps": limit_reps, "t_cap": t_cap}),
         stats={
             "sigma": sigma,
             "ks_per_coordinate": ks,
@@ -209,13 +210,17 @@ def experiment_walk(
         stats["ks"][str(t)] = ks
         stats["variance"][str(t)] = float(vals[:, j].var())
         passed[f"ks_t={t}"] = ks <= tol
+    # A sample with no spread leaves a ratio or correlation undefined: it is
+    # reported as null and its check fails.
     if 1.0 in t_points and 2.0 in t_points:
-        ratio = stats["variance"]["2.0"] / stats["variance"]["1.0"]
+        v1, v2 = stats["variance"]["1.0"], stats["variance"]["2.0"]
+        ratio = v2 / v1 if v1 > 0 else None
         stats["variance_ratio_2_over_1"] = ratio
-        passed["variance_ratio"] = 1.7 <= ratio <= 2.3
-    corr = float(np.corrcoef(half[:, 0], half[:, 1])[0, 1])
+        passed["variance_ratio"] = ratio is not None and 1.7 <= ratio <= 2.3
+    spread = bool(np.ptp(half, axis=0).all())
+    corr = float(np.corrcoef(half[:, 0], half[:, 1])[0, 1]) if spread else None
     stats["increment_correlation"] = corr
-    passed["increment_independence"] = abs(corr) <= 3.0 / math.sqrt(reps)
+    passed["increment_independence"] = spread and abs(corr) <= 3.0 / math.sqrt(reps)
     report = ExperimentReport(
         "walk", _params(p, {"n": n, "cn": cn, "reps": reps, "t_points": t_points, "seed": seed}),
         stats=stats, passed=passed,

@@ -175,6 +175,22 @@ def test_verify_exit_codes(tmp_path, capsys):
     assert report["params"]["n"] == 4000
 
 
+def test_verify_walk_without_spread_fails_with_finite_json(capsys):
+    # At c_n = 1 both replicates have the same walk values at t = 1 and 2,
+    # so the variance ratio and the increment correlation are undefined.
+    code, out = run(capsys, "verify", "walk", "--n", "100", "--cn", "1", "--seed", "1",
+                    "--reps", "2")
+    assert code == EXIT_CRITERION
+
+    def reject(const):
+        raise ValueError(f"non-finite number {const} in the report")
+
+    report = json.loads(out, parse_constant=reject)
+    assert report["stats"]["variance"]["1.0"] == 0.0
+    assert report["stats"]["variance_ratio_2_over_1"] is None
+    assert report["passed"]["variance_ratio"] is False
+
+
 def test_verify_cn_exponent(capsys):
     code, out = run(
         capsys, "verify", "tau", "--p", "geometric:0.5", "--n", "4000",
@@ -218,12 +234,15 @@ def test_missing_or_empty_arguments_are_invalid(capsys, argv):
      "--count", "-2"),
     ("limit", "excursions", "--sigma", "1", "--seed", "1", "--top", "0"),
     ("limit", "excursions", "--sigma", "1", "--seed", "1", "--count", "-2"),
+    ("verify", "tau", "--n", "-5", "--seed", "1", "--reps", "2"),
+    ("verify", "tau", "--p", '{"0": null}', "--n", "100", "--seed", "1", "--reps", "2"),
 ], ids=["degrees_rank_above_c", "counts_not_a_mapping", "degseq_file_without_counts",
         "degseq_file_is_a_list", "tree_float_entries", "tree_negative_entry",
         "tree_nested_list", "bridge_float_entries", "bridge_nested_list",
         "bridge_not_a_sequence", "walk_nested_list", "counts_fractional",
         "degseq_file_fractional_counts", "sample_top_negative", "sample_count_negative",
-        "limit_top_zero", "limit_count_negative"])
+        "limit_top_zero", "limit_count_negative", "verify_n_negative",
+        "verify_profile_weight_null"])
 def test_malformed_inputs_are_invalid(tmp_path, capsys, argv):
     # "file:<text>" stands for the path of a file that holds <text>.
     for i, arg in enumerate(argv):

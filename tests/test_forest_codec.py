@@ -1,5 +1,6 @@
 """Bijections between trees/forests and lattice paths, plus exact counts."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -183,6 +184,25 @@ def test_codecs_round_trip_exhaustively_n_le_6():
             assert m.forest.degree_sequence() == s
         forests = list(enumerate_forests(s, cap=s.n))
         assert len(forests) == count_forests(s)
+
+
+def test_enumeration_order_is_pinned_n_le_7():
+    # Every forest and marked cyclic forest, in enumeration order, for all 75
+    # degree sequences with n <= 7: the digest pins both the set and the order.
+    h = hashlib.sha256()
+    for s in small_degree_sequences(7):
+        h.update(repr(list(enumerate_forests(s, cap=7))).encode())
+        h.update(repr(list(enumerate_mcfs(s, cap=7))).encode())
+    assert h.hexdigest() == "64d02e5b46040a04da1536cc55f3e7df1b412e071290d9a7a1015b0ef477660f"
+
+
+def test_enumerate_walks_has_no_depth_limit():
+    # 1,201 distinct permutations of 1,200 zeros and one 1, in lexicographic
+    # order: the 1 moves from the last place to the first.
+    walks = list(enumerate_walks(validate({0: 1200, 1: 1})))
+    assert len(walks) == 1201
+    ones = [w.increments().index(0) for w in walks]
+    assert ones == list(range(1200, -1, -1))
 
 
 def test_enumerate_guards_against_large_inputs():

@@ -18,7 +18,7 @@ from planeforest import (
     walk_from_degrees,
 )
 from planeforest.errors import MalformedBridge, NotAWalk
-from planeforest.lattice_paths import concat_segments, path_to_csv
+from planeforest.lattice_paths import concat_segments
 
 
 def test_path_validation():
@@ -116,10 +116,6 @@ def test_split_single_tree_walk():
     segments = split_at_passage_times(w)
     assert len(segments) == 1
     assert segments[0].values == w.values
-
-
-def test_path_to_csv():
-    assert path_to_csv(LatticeBridge((0, 0, -1))) == "0\n0\n-1"
 
 
 def exhaustive_bridges(n):

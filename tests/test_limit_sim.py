@@ -1,5 +1,6 @@
 """Brownian first-passage simulation, excursions, and the tau(1/sigma) law."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -244,6 +245,24 @@ def test_simulate_to_hit_equals_one_cumsum(monkeypatch, chunk):
         assert hit == len(walk) - 1
         frac = (walk[hit - 1] + x) / (walk[hit - 1] - walk[hit])
         assert tau == (hit - 1 + frac) * dt
+
+
+def test_simulate_to_hit_is_pinned_across_chunks(monkeypatch):
+    # 40 draws of up to 300 steps in 7-step chunks, 13 of them censored: the
+    # digest pins every path bit, tau and CapExceeded text.
+    monkeypatch.setattr(limit_sim, "_CHUNK", 7)
+    h = hashlib.sha256()
+    censored = 0
+    for i in range(40):
+        try:
+            path, tau = simulate_to_hit((0.5, 1.0)[i % 2], 1e-2, substream(39, i), t_cap=3.0)
+        except CapExceeded as exc:
+            censored += 1
+            h.update(str(exc).encode())
+            continue
+        h.update(path.values.tobytes() + tau.hex().encode())
+    assert censored == 13
+    assert h.hexdigest() == "61c8a0793fcd9e32ecd0b13dc0f4db0097a76be4bbd0684fadf22ce944c8d83b"
 
 
 def test_ranked_excursions_match_a_plain_loop():

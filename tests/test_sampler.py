@@ -15,7 +15,6 @@ from planeforest import (
     count_mcf,
     make_degree_sequence,
     mcf_from_walk,
-    ranked_trees,
     rng_from_seed,
     sample_forest,
     sample_mcf,
@@ -94,19 +93,6 @@ def test_array_kernel_matches_tuple_codec(s, seed):
     k = int(rng.integers(len(trees)))
     assert sample_mcf(s, substream(seed, 0)) == oracle
     assert sample_forest(s, substream(seed, 0)) == PlaneForest(trees[k:] + trees[:k])
-
-
-def test_ranked_trees_stable_order():
-    s = validate({0: 6, 2: 3})
-    f = sample_forest(s, rng_from_seed(2))
-    rf, sizes = ranked_trees(f)
-    assert list(sizes) == sorted(sizes, reverse=True)
-    assert sorted(t.lex for t in rf.trees) == sorted(t.lex for t in f.trees)
-    # ties keep original appearance order
-    first_idx = [f.trees.index(t) for t in rf.trees]
-    for a, b in zip(range(len(sizes) - 1), range(1, len(sizes))):
-        if sizes[a] == sizes[b]:
-            assert first_idx[a] <= first_idx[b]
 
 
 def test_walk_statistics_matches_full_decode():

@@ -133,6 +133,11 @@ def test_experiment_tree_sizes_report_is_pinned():
         "sum_statistic_mean": 2.756944444444444,
     }
     assert rep.passed == {"ks_top1": False, "sizes_weakly_decreasing": True}
+    # Enough to rerun the report: both sides' sizes, dt and t_cap.
+    assert {k: v for k, v in rep.params.items() if k != "p"} == {
+        "cn": 6, "dt": 1e-2, "limit_reps": 40, "n": 2000, "reps": 20, "seed": 1,
+        "t_cap": 20.0, "top_j": 2,
+    }
 
 
 @pytest.mark.parametrize("run", [
