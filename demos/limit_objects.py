@@ -26,12 +26,11 @@ for t in (0.25, 1.0, 4.0):
 
 # --- one discretized replicate ------------------------------------------------
 path, tau = pf.simulate_to_hit(1.0 / SIGMA, 1e-4, pf.substream(SEED, 1))
-reflected = pf.reflect_at_min(path)
-excursions = pf.ranked_excursions(reflected)
+starts, ends = pf.ranked_excursions(path, 1e-4)
 print(f"\ndiscretized replicate (dt = 1e-4): tau = {tau:.4f}")
-print(f"  {len(excursions)} excursions; top five lengths:")
-for e in excursions[:5]:
-    print(f"    [{e.start:8.4f}, {e.end:8.4f}]  length {e.length:.4f}")
+print(f"  {len(starts)} excursions; top five lengths:")
+for start, end in zip(starts[:5], ends[:5]):
+    print(f"    [{start:8.4f}, {end:8.4f}]  length {end - start:.4f}")
 
 # --- ranked excursion lengths across replicates -------------------------------
 _, _, lengths = pf.uncensored_limit_draws(SIGMA, 2, 1e-3, 100, SEED, first=10, t_cap=200.0)

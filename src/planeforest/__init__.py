@@ -40,8 +40,6 @@ from .lattice_paths import (
     walk_from_degrees,
 )
 from .limit_sim import (
-    BrownianPath,
-    ExcursionInterval,
     ranked_excursions,
     reflect_at_min,
     sample_limit_vector,

@@ -126,7 +126,7 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _at_least_one(args, "reps", "n")
+    _at_least_one(args, "reps", "n", "top")
     p = _parse_profile(args.p)
     cn = args.cn if args.cn is not None else int(args.n**args.cn_exp)
     if args.experiment == "tau":

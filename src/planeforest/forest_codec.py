@@ -153,7 +153,9 @@ class PlaneForest:
     @staticmethod
     def from_json(text: str) -> "PlaneForest":
         obj = json.loads(text)
-        return PlaneForest(tuple(PlaneTree(tuple(t)) for t in obj["trees"]))
+        if not isinstance(obj, dict) or not isinstance(obj.get("trees"), list):
+            raise MalformedBridge('forest JSON must be an object with a "trees" list')
+        return PlaneForest(tuple(map(PlaneTree, obj["trees"])))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ gives both an exact sampler and the reference CDF for every tau check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm
@@ -19,33 +18,6 @@ from .errors import CapExceeded, DomainError
 from .sampler import substream
 
 _CHUNK = 1 << 15
-
-
-@dataclass(frozen=True)
-class BrownianPath:
-    """Gaussian random walk at step dt, including the start value 0."""
-
-    dt: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.values[0] != 0.0:
-            raise ValueError("path must start at 0")
-
-
-@dataclass(frozen=True)
-class ExcursionInterval:
-    start: float
-    end: float
-
-    def __post_init__(self):
-        if not 0 <= self.start < self.end:
-            raise ValueError("need 0 <= start < end")
-
-    @property
-    def length(self) -> float:
-        return self.end - self.start
 
 
 def _first_passage_scan(
@@ -121,11 +93,13 @@ def simulate_to_hit(
     dt: float,
     rng: np.random.Generator,
     t_cap: float = 1000.0,
-) -> tuple[BrownianPath, float]:
+) -> tuple[np.ndarray, float]:
     """Run B until it first reaches -x; tau is interpolated at the crossing.
 
-    Raises CapExceeded once the simulated time passes t_cap: tau has
-    infinite mean, so callers must either accept censoring or re-raise.
+    Returns (values, tau): B at steps 0, dt, 2 dt, ..., starting at 0 and
+    ending at the first value at or below -x.  Raises CapExceeded once the
+    simulated time passes t_cap: tau has infinite mean, so callers must
+    either accept censoring or re-raise.
     """
     if x <= 0 or dt <= 0:
         raise ValueError("x and dt must be positive")
@@ -145,32 +119,33 @@ def simulate_to_hit(
             prev = block[i - 1] if i else chunks[-1][-1]
             frac = (prev + x) / (prev - block[i])
             chunks.append(block[: i + 1])
-            return BrownianPath(dt, np.concatenate(chunks)), (steps + i + frac) * dt
+            return np.concatenate(chunks), (steps + i + frac) * dt
         chunks.append(block)
         steps += len(block)
     raise CapExceeded(f"no passage of -{x} before t_cap={t_cap}")
 
 
-def reflect_at_min(path: BrownianPath) -> BrownianPath:
-    """R(t) = B(t) - running minimum of B; nonnegative by construction."""
-    v = path.values
-    return BrownianPath(path.dt, v - np.minimum.accumulate(v))
+def reflect_at_min(values) -> np.ndarray:
+    """R = B - running minimum of B; nonnegative by construction."""
+    values = np.asarray(values, dtype=float)
+    return values - np.minimum.accumulate(values)
 
 
-def ranked_excursions(path: BrownianPath) -> list[ExcursionInterval]:
+def ranked_excursions(values, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Maximal intervals where the reflected path is positive, longest first.
 
-    Zero-set membership is exact at grid points (R = 0 iff a new running
-    minimum is attained there).  Grid ties are broken by earlier start.
+    ``values`` is a path at step dt.  Returns the (starts, ends) times of
+    the intervals.  Zero-set membership is exact at grid points (R = 0 iff
+    a new running minimum is attained there), so a path that is already
+    reflected gives the same intervals.  Grid ties are broken by earlier
+    start.
     """
-    dt = path.dt
-    r = path.values - np.minimum.accumulate(path.values)
-    zeros = np.flatnonzero(r == 0)
-    end = len(r) - 1
+    zeros = np.flatnonzero(reflect_at_min(values) == 0)
+    end = len(values) - 1
     # A positive run at the end of the path closes there.
     tail = np.array([zeros[-1], end] if zeros[-1] < end else [], dtype=np.int64)
     starts, ends = _rank_gaps(zeros, dt, None, tail[:1], tail[1:])
-    return [ExcursionInterval(s * dt, e * dt) for s, e in zip(starts, ends)]
+    return starts * dt, ends * dt
 
 
 def tau_density(t, sigma: float):
@@ -199,34 +174,26 @@ def sample_tau_exact(sigma: float, rng: np.random.Generator, size: int | None = 
     return 1.0 / (sigma * z) ** 2
 
 
-@dataclass
-class LimitReplicate:
-    """One draw of tau and the ranked excursion lengths."""
-
-    tau: float
-    lengths: np.ndarray
-
-
 def sample_limit_vector(
     sigma: float,
     top_j: int,
     dt: float,
     rng: np.random.Generator,
     t_cap: float = 1000.0,
-) -> LimitReplicate:
+) -> tuple[float, np.ndarray]:
     """Simulate the limit triple's excursion data at level x = 1/sigma.
 
-    Returns tau(1/sigma) and the top_j ranked excursion lengths
-    (zero-padded).  CapExceeded propagates from the underlying simulation.
-    The excursion sub-paths, whose doubles code the limits of the small
-    trees, come from simulate_to_hit, reflect_at_min and ranked_excursions.
+    Returns (tau, lengths): tau(1/sigma) and the top_j ranked excursion
+    lengths (zero-padded).  CapExceeded propagates from the underlying
+    simulation.  The excursion sub-paths, whose doubles code the limits of
+    the small trees, come from simulate_to_hit and ranked_excursions.
     """
     if sigma <= 0 or top_j < 1:
         raise DomainError("need sigma > 0 and top_j >= 1")
     tau, starts, ends = _first_passage_scan(1.0 / sigma, dt, rng, t_cap, top_j)
     lengths = np.zeros(top_j)
     lengths[: len(starts)] = ends * dt - starts * dt
-    return LimitReplicate(tau=tau, lengths=lengths)
+    return tau, lengths
 
 
 def uncensored_limit_draws(
@@ -254,12 +221,12 @@ def uncensored_limit_draws(
     row, idx = 0, first
     while row < count:
         try:
-            rep = sample_limit_vector(sigma, top_j, dt, substream(seed, idx), t_cap)
+            tau, top = sample_limit_vector(sigma, top_j, dt, substream(seed, idx), t_cap)
         except CapExceeded:
             if idx + 1 - first - row > count + 20:
                 raise
         else:
-            indices[row], taus[row], lengths[row] = idx, rep.tau, rep.lengths
+            indices[row], taus[row], lengths[row] = idx, tau, top
             row += 1
         idx += 1
     return indices, taus, lengths

@@ -156,24 +156,28 @@ def experiment_tree_sizes(
         forest_side[rep] = padded[1 : top_j + 1] / cn**2
         sums[rep] = (n - ranked[0]) / cn**2
 
-    idx, _, limit_side = uncensored_limit_draws(
-        sigma, top_j, dt, limit_reps, seed, first=LIMIT_FIRST, t_cap=t_cap
-    )
-    ks = [ks_two_sample(forest_side[:, j], limit_side[:, j]) for j in range(top_j)]
-    censored = int(idx[-1]) + 1 - LIMIT_FIRST - limit_reps
-    monotone = bool(np.all(np.diff(forest_side, axis=1) <= 0))
     report = ExperimentReport(
         "tree_sizes",
         _params(p, {"n": n, "cn": cn, "reps": reps, "top_j": top_j, "seed": seed, "dt": dt,
                     "limit_reps": limit_reps, "t_cap": t_cap}),
-        stats={
+    )
+    if s.c == 1:
+        # One tree and no small trees: there is nothing to compare with the limit.
+        report.stats = {"degenerate": True, "sigma": sigma}
+        report.passed = {"degenerate_sizes_zero": bool(np.all(forest_side == 0))}
+    else:
+        idx, _, limit_side = uncensored_limit_draws(
+            sigma, top_j, dt, limit_reps, seed, first=LIMIT_FIRST, t_cap=t_cap
+        )
+        ks = [ks_two_sample(forest_side[:, j], limit_side[:, j]) for j in range(top_j)]
+        report.stats = {
             "sigma": sigma,
             "ks_per_coordinate": ks,
-            "censored_limit_reps": censored,
+            "censored_limit_reps": int(idx[-1]) + 1 - LIMIT_FIRST - limit_reps,
             "sum_statistic_mean": float(sums.mean()),
-        },
-        passed={"ks_top1": ks[0] <= tol, "sizes_weakly_decreasing": monotone},
-    )
+        }
+        monotone = bool(np.all(np.diff(forest_side, axis=1) <= 0))
+        report.passed = {"ks_top1": ks[0] <= tol, "sizes_weakly_decreasing": monotone}
     report.runtime = time.perf_counter() - t0
     return report
 

@@ -236,13 +236,14 @@ def test_missing_or_empty_arguments_are_invalid(capsys, argv):
     ("limit", "excursions", "--sigma", "1", "--seed", "1", "--count", "-2"),
     ("verify", "tau", "--n", "-5", "--seed", "1", "--reps", "2"),
     ("verify", "tau", "--p", '{"0": null}', "--n", "100", "--seed", "1", "--reps", "2"),
+    ("verify", "sizes", "--n", "100", "--cn", "4", "--seed", "1", "--reps", "2", "--top", "-1"),
 ], ids=["degrees_rank_above_c", "counts_not_a_mapping", "degseq_file_without_counts",
         "degseq_file_is_a_list", "tree_float_entries", "tree_negative_entry",
         "tree_nested_list", "bridge_float_entries", "bridge_nested_list",
         "bridge_not_a_sequence", "walk_nested_list", "counts_fractional",
         "degseq_file_fractional_counts", "sample_top_negative", "sample_count_negative",
         "limit_top_zero", "limit_count_negative", "verify_n_negative",
-        "verify_profile_weight_null"])
+        "verify_profile_weight_null", "verify_top_negative"])
 def test_malformed_inputs_are_invalid(tmp_path, capsys, argv):
     # "file:<text>" stands for the path of a file that holds <text>.
     for i, arg in enumerate(argv):
@@ -252,7 +253,10 @@ def test_malformed_inputs_are_invalid(tmp_path, capsys, argv):
             argv = argv[:i] + (str(path),) + argv[i + 1:]
     code = main(list(argv))
     assert code == EXIT_INVALID
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if "--top" in argv and int(argv[argv.index("--top") + 1]) < 1:
+        assert "--top" in err
 
 
 def test_usage_error_exits_invalid(capsys):

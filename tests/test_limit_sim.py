@@ -10,7 +10,6 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from planeforest import (
-    BrownianPath,
     ks_one_sample,
     ranked_excursions,
     reflect_at_min,
@@ -72,12 +71,12 @@ def test_sample_tau_exact_matches_cdf():
 
 def test_simulate_to_hit_stops_at_crossing():
     path, tau = simulate_to_hit(1.0, 1e-3, rng_from_seed(0))
-    assert path.values[0] == 0.0
-    assert path.values[-1] <= -1.0
-    assert (path.values[:-1] > -1.0).all()
+    assert path[0] == 0.0
+    assert path[-1] <= -1.0
+    assert (path[:-1] > -1.0).all()
     # interpolated crossing time sits within the final step
-    n_steps = len(path.values) - 1
-    assert (n_steps - 1) * path.dt <= tau <= n_steps * path.dt
+    n_steps = len(path) - 1
+    assert (n_steps - 1) * 1e-3 <= tau <= n_steps * 1e-3
 
 
 def test_simulate_to_hit_cap():
@@ -88,28 +87,29 @@ def test_simulate_to_hit_cap():
 def test_reflect_at_min_properties():
     path, _ = simulate_to_hit(1.0, 1e-3, rng_from_seed(2))
     r = reflect_at_min(path)
-    assert (r.values >= 0.0).all()
-    assert r.values[0] == 0.0
+    assert (r >= 0.0).all()
+    assert r[0] == 0.0
     # reflection vanishes exactly at running-minimum records
-    run_min = np.minimum.accumulate(path.values)
-    assert np.array_equal(r.values == 0.0, path.values == run_min)
+    run_min = np.minimum.accumulate(path)
+    assert np.array_equal(r == 0.0, path == run_min)
+    # reflecting again changes no bit
+    assert reflect_at_min(r).tobytes() == r.tobytes()
 
 
 def test_ranked_excursions_structure():
     path, tau = simulate_to_hit(1.0, 1e-3, rng_from_seed(3))
-    r = reflect_at_min(path)
-    exc = ranked_excursions(r)
-    lengths = [e.length for e in exc]
-    assert lengths == sorted(lengths, reverse=True)
-    for e in exc:
-        assert e.end > e.start
-        assert e.length == pytest.approx(e.end - e.start)
+    starts, ends = ranked_excursions(path, 1e-3)
+    lengths = ends - starts
+    assert (np.diff(lengths) <= 0).all()
+    assert (starts >= 0).all() and (ends > starts).all()
     # intervals are disjoint
-    by_start = sorted(exc, key=lambda e: e.start)
-    for a, b in zip(by_start, by_start[1:]):
-        assert a.end <= b.start + 1e-12
+    order = np.argsort(starts)
+    assert (ends[order][:-1] <= starts[order][1:] + 1e-12).all()
     # excursion lengths tile the zero-free part of [0, tau]
-    assert sum(lengths) <= len(path.values) * path.dt
+    assert lengths.sum() <= len(path) * 1e-3
+    # the reflected path has the same zero set, so the same intervals
+    again = ranked_excursions(reflect_at_min(path), 1e-3)
+    assert [a.tobytes() for a in again] == [starts.tobytes(), ends.tobytes()]
 
 
 def test_sample_limit_vector_deterministic_and_ranked():
@@ -143,8 +143,8 @@ def test_uncensored_limit_draws_skip_the_censored_substreams():
         with pytest.raises(CapExceeded):
             sample_limit_vector(sig, 2, dt, substream(36, i), t_cap=t_cap)
     for i, tau, row in zip(idx, taus, lengths):
-        rep = sample_limit_vector(sig, 2, dt, substream(36, int(i)), t_cap=t_cap)
-        assert rep.tau == tau and rep.lengths.tobytes() == row.tobytes()
+        got_tau, got_row = sample_limit_vector(sig, 2, dt, substream(36, int(i)), t_cap=t_cap)
+        assert got_tau == tau and got_row.tobytes() == row.tobytes()
     empty = uncensored_limit_draws(sig, 2, dt, 0, 36)
     assert [a.shape for a in empty] == [(0,), (0,), (0, 2)]
 
@@ -172,7 +172,7 @@ def test_sample_limit_vector_mean_tau():
     taus = []
     for i in range(400):
         try:
-            taus.append(sample_limit_vector(sig, 1, 2e-3, substream(6, i), t_cap=100.0).tau)
+            taus.append(sample_limit_vector(sig, 1, 2e-3, substream(6, i), t_cap=100.0)[0])
         except CapExceeded:
             taus.append(np.inf)  # censored far above the median
     med = float(np.median(taus))
@@ -186,18 +186,18 @@ def _path_reference(sigma, top_j, dt, rng, t_cap):
         path, tau = simulate_to_hit(1.0 / sigma, dt, rng, t_cap=t_cap)
     except CapExceeded as exc:
         return str(exc)
+    starts, ends = ranked_excursions(path, dt)
+    top = (ends - starts)[:top_j]
     lengths = np.zeros(top_j)
-    ivals = ranked_excursions(path)[:top_j]
-    lengths[: len(ivals)] = [iv.length for iv in ivals]
+    lengths[: len(top)] = top
     return tau, lengths
 
 
 def _streamed(sigma, top_j, dt, rng, t_cap):
     try:
-        rep = sample_limit_vector(sigma, top_j, dt, rng, t_cap=t_cap)
+        return sample_limit_vector(sigma, top_j, dt, rng, t_cap=t_cap)
     except CapExceeded as exc:
         return str(exc)
-    return rep.tau, rep.lengths
 
 
 @pytest.mark.parametrize("chunk,dt,t_cap", [
@@ -238,9 +238,9 @@ def test_simulate_to_hit_equals_one_cumsum(monkeypatch, chunk):
             path, tau = simulate_to_hit(x, dt, substream(33, i), t_cap=8.0)
         except CapExceeded:
             continue
-        z = substream(33, i).standard_normal(len(path.values) - 1)
+        z = substream(33, i).standard_normal(len(path) - 1)
         walk = np.concatenate(([0.0], np.cumsum(z * math.sqrt(dt))))
-        assert path.values.tobytes() == walk.tobytes()
+        assert path.tobytes() == walk.tobytes()
         hit = int(np.argmax(walk <= -x))
         assert hit == len(walk) - 1
         frac = (walk[hit - 1] + x) / (walk[hit - 1] - walk[hit])
@@ -260,7 +260,7 @@ def test_simulate_to_hit_is_pinned_across_chunks(monkeypatch):
             censored += 1
             h.update(str(exc).encode())
             continue
-        h.update(path.values.tobytes() + tau.hex().encode())
+        h.update(path.tobytes() + tau.hex().encode())
     assert censored == 13
     assert h.hexdigest() == "61c8a0793fcd9e32ecd0b13dc0f4db0097a76be4bbd0684fadf22ce944c8d83b"
 
@@ -276,8 +276,9 @@ def test_ranked_excursions_match_a_plain_loop():
         if zeros[-1] < len(v) - 1:
             gaps.append((zeros[-1], len(v) - 1))
         gaps.sort(key=lambda g: (-(g[1] * 0.5 - g[0] * 0.5), g[0]))
-        got = ranked_excursions(BrownianPath(0.5, v))
-        assert [(e.start, e.end) for e in got] == [(s * 0.5, e * 0.5) for s, e in gaps]
+        starts, ends = ranked_excursions(v, 0.5)
+        got = list(zip(starts.tolist(), ends.tolist()))
+        assert got == [(s * 0.5, e * 0.5) for s, e in gaps]
 
 
 def test_censored_streamed_draw_holds_one_chunk():

@@ -13,6 +13,7 @@ from planeforest import (
     ks_two_sample,
     make_degree_sequence,
 )
+from planeforest import verify
 from planeforest.degseq import geometric_profile
 from planeforest.errors import EmptySample
 from planeforest.verify import (
@@ -138,6 +139,18 @@ def test_experiment_tree_sizes_report_is_pinned():
         "cn": 6, "dt": 1e-2, "limit_reps": 40, "n": 2000, "reps": 20, "seed": 1,
         "t_cap": 20.0, "top_j": 2,
     }
+
+
+def test_experiment_tree_sizes_degenerate_at_one_tree(monkeypatch):
+    # With c = 1 there are no small trees, so no limit draw is made.
+    def no_draws(*args, **kwargs):
+        raise AssertionError("c = 1 needs no limit draws")
+
+    monkeypatch.setattr(verify, "uncensored_limit_draws", no_draws)
+    rep = experiment_tree_sizes(geometric_profile(), 100, 1, reps=2, top_j=3, seed=1)
+    assert rep.stats["degenerate"] is True
+    assert rep.passed == {"degenerate_sizes_zero": True}
+    assert rep.ok
 
 
 @pytest.mark.parametrize("run", [
