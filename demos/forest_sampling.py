@@ -48,6 +48,6 @@ print(f"(finite-n floor: the error shrinks like c_n/sqrt(n) = {CN / N**0.5:.3f},
 ws = pf.walk_statistics(s, pf.substream(SEED, 0))
 overall = pf.empirical(s)
 print("\nlargest tree's empirical degree frequencies vs overall:")
+counts = ws.tree_degree_counts(1)
 for i in range(4):
-    tree_p = ws.tree_empirical(1)[i]
-    print(f"  degree {i}:  {tree_p:.4f}  vs  {overall.probs[i]:.4f}")
+    print(f"  degree {i}:  {counts[i] / counts.sum():.4f}  vs  {overall.probs[i]:.4f}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -48,16 +49,13 @@ class DegreeSequence:
 class EmpiricalDist:
     """Empirical offspring distribution of a degree sequence.
 
-    ``second_moment`` is sum(i^2 * p_i); ``factorial_moment`` is the
-    factorial second moment sum(i*(i-1) * p_i), which equals the offspring
-    variance when the mean is 1 and is the variance that sets the Brownian
-    scale in all limit comparisons.
+    ``second_moment`` is sum(i^2 * p_i).  The Brownian scale of every limit
+    comparison is ``limit_sigma``.
     """
 
     probs: Mapping[int, float]
     mean: float
     second_moment: float
-    factorial_moment: float
 
     def __post_init__(self):
         object.__setattr__(self, "probs", dict(self.probs))
@@ -101,7 +99,7 @@ def empirical(s: DegreeSequence) -> EmpiricalDist:
     probs = {i: k / s.n for i, k in sorted(s.counts.items())}
     mean = sum(i * p for i, p in probs.items())
     second = sum(i * i * p for i, p in probs.items())
-    return EmpiricalDist(probs, mean, second, second - mean)
+    return EmpiricalDist(probs, mean, second)
 
 
 def truncated_moments(s: DegreeSequence, t: int) -> tuple[float, float, float]:
@@ -148,10 +146,12 @@ def make_degree_sequence(
     The swap budget is O(sqrt(n)), which keeps the result L2-close to p.
     """
     del seed
-    if isinstance(p, Mapping):
-        weights = {int(i): float(w) for i, w in p.items() if w > 0}
-    else:
-        weights = {i: float(w) for i, w in enumerate(p) if w > 0}
+    weights = {}
+    for i, w in p.items() if isinstance(p, Mapping) else enumerate(p):
+        if not isinstance(w, numbers.Real) or not math.isfinite(w):
+            raise ValueError(f"weight of degree {i} must be a finite number, got {w!r}")
+        if w > 0:
+            weights[int(i)] = float(w)
     total_w = sum(weights.values())
     if total_w <= 0:
         raise ValueError("p must have positive mass")

@@ -20,59 +20,6 @@ from .sampler import substream
 _CHUNK = 1 << 15
 
 
-def _first_passage_scan(
-    x: float, dt: float, rng: np.random.Generator, t_cap: float, top: int
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Run B chunk by chunk until it first reaches -x, ranking its excursions.
-
-    Each chunk is drawn, scaled, summed and shifted in one reused buffer,
-    so the memory is one chunk however long the draw.  Across chunks the
-    scan carries the last value, the running minimum and the index of the
-    last running-minimum record; a chunk that stays above the minimum has
-    neither a record nor the crossing.  It keeps the ``top`` longest
-    excursions above the running minimum as (start, end) step indices.
-    Returns (tau, starts, ends).
-    """
-    if x <= 0 or dt <= 0:
-        raise ValueError("x and dt must be positive")
-    sqdt = math.sqrt(dt)
-    max_steps = int(t_cap / dt)
-    buf = np.empty(max(0, min(_CHUNK, max_steps)))
-    mins = np.empty_like(buf)
-    starts = ends = np.empty(0, dtype=np.int64)
-    last = run_min = 0.0
-    last_rec = steps = 0
-    while True:
-        m = min(_CHUNK, max_steps - steps)
-        if m <= 0:
-            raise CapExceeded(f"no passage of -{x} before t_cap={t_cap}")
-        block = buf[:m]
-        rng.standard_normal(out=block)
-        block *= sqdt
-        np.cumsum(block, out=block)
-        block += last
-        low = block.min()
-        if low <= run_min:
-            hit = low <= -x
-            if hit:
-                i = int(np.argmax(block <= -x))
-                prev = block[i - 1] if i else last
-                # Linear interpolation of the crossing inside the last step.
-                frac = (prev + x) / (prev - block[i])
-                block = block[: i + 1]
-            run = np.minimum.accumulate(block, out=mins[: len(block)])
-            np.minimum(run, run_min, out=run)
-            zeros = np.flatnonzero(block <= run)
-            zeros += steps + 1
-            starts, ends = _rank_gaps(np.concatenate(([last_rec], zeros)), dt, top, starts, ends)
-            if hit:
-                return (steps + i + frac) * dt, starts, ends
-            last_rec = int(zeros[-1])
-            run_min = min(run_min, low)
-        last = block[-1]
-        steps += m
-
-
 def _rank_gaps(zeros, dt, top, starts, ends):
     """Add the excursions between consecutive zeros of B - min B to (starts, ends).
 
@@ -108,7 +55,7 @@ def simulate_to_hit(
     chunks = [np.zeros(1)]
     steps = 0
     while steps < max_steps:
-        # The same chunks as the streamed scan, so the path has the same bits.
+        # The same chunks as sample_limit_vector, so the path has the same bits.
         block = rng.standard_normal(min(_CHUNK, max_steps - steps))
         block *= sqdt
         np.cumsum(block, out=block)
@@ -148,11 +95,17 @@ def ranked_excursions(values, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return starts * dt, ends * dt
 
 
+def _check_sigma(sigma: float, t=1.0):
+    """Raise DomainError unless sigma is positive and finite and every t is positive."""
+    # NaN fails both comparisons, so it is rejected with the infinities.
+    if not 0 < sigma < math.inf or np.any(np.asarray(t) <= 0):
+        raise DomainError(f"need 0 < sigma < inf and t > 0, got sigma={sigma}")
+
+
 def tau_density(t, sigma: float):
     """Density of tau(1/sigma): (sigma * sqrt(2 pi t^3))^-1 exp(-1/(2 t sigma^2))."""
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0) or sigma <= 0:
-        raise DomainError("t and sigma must be positive")
+    _check_sigma(sigma, t)
     out = np.exp(-1.0 / (2.0 * t * sigma**2)) / (sigma * np.sqrt(2.0 * math.pi * t**3))
     return float(out) if out.ndim == 0 else out
 
@@ -160,16 +113,14 @@ def tau_density(t, sigma: float):
 def tau_cdf(t, sigma: float):
     """CDF of tau(1/sigma): 2 * (1 - Phi(1 / (sigma sqrt(t))))."""
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0) or sigma <= 0:
-        raise DomainError("t and sigma must be positive")
+    _check_sigma(sigma, t)
     out = 2.0 * norm.sf(1.0 / (sigma * np.sqrt(t)))
     return float(out) if out.ndim == 0 else out
 
 
 def sample_tau_exact(sigma: float, rng: np.random.Generator, size: int | None = None):
     """Exact sampler tau = 1 / (sigma * Z)^2 with Z standard normal."""
-    if sigma <= 0:
-        raise DomainError("sigma must be positive")
+    _check_sigma(sigma)
     z = rng.standard_normal(size)
     return 1.0 / (sigma * z) ** 2
 
@@ -184,16 +135,58 @@ def sample_limit_vector(
     """Simulate the limit triple's excursion data at level x = 1/sigma.
 
     Returns (tau, lengths): tau(1/sigma) and the top_j ranked excursion
-    lengths (zero-padded).  CapExceeded propagates from the underlying
-    simulation.  The excursion sub-paths, whose doubles code the limits of
-    the small trees, come from simulate_to_hit and ranked_excursions.
+    lengths (zero-padded).  B runs chunk by chunk until it first reaches
+    -x.  Each chunk is drawn, scaled, summed and shifted in one reused
+    buffer, so the memory is one chunk however long the draw.  Across
+    chunks the scan carries the last value, the running minimum and the
+    index of the last running-minimum record; a chunk that stays above the
+    minimum has neither a record nor the crossing.  Only the top_j longest
+    excursions are kept, as (start, end) step indices.  Raises CapExceeded
+    once the simulated time passes t_cap.  simulate_to_hit and
+    ranked_excursions are the whole-path reference for the same bits.
     """
-    if sigma <= 0 or top_j < 1:
-        raise DomainError("need sigma > 0 and top_j >= 1")
-    tau, starts, ends = _first_passage_scan(1.0 / sigma, dt, rng, t_cap, top_j)
-    lengths = np.zeros(top_j)
-    lengths[: len(starts)] = ends * dt - starts * dt
-    return tau, lengths
+    _check_sigma(sigma)
+    if top_j < 1 or dt <= 0:
+        raise DomainError("need top_j >= 1 and dt > 0")
+    x = 1.0 / sigma
+    sqdt = math.sqrt(dt)
+    max_steps = int(t_cap / dt)
+    buf = np.empty(max(0, min(_CHUNK, max_steps)))
+    mins = np.empty_like(buf)
+    starts = ends = np.empty(0, dtype=np.int64)
+    last = run_min = 0.0
+    last_rec = steps = 0
+    while True:
+        m = min(_CHUNK, max_steps - steps)
+        if m <= 0:
+            raise CapExceeded(f"no passage of -{x} before t_cap={t_cap}")
+        block = buf[:m]
+        rng.standard_normal(out=block)
+        block *= sqdt
+        np.cumsum(block, out=block)
+        block += last
+        low = block.min()
+        if low <= run_min:
+            hit = low <= -x
+            if hit:
+                i = int(np.argmax(block <= -x))
+                prev = block[i - 1] if i else last
+                # Linear interpolation of the crossing inside the last step.
+                frac = (prev + x) / (prev - block[i])
+                block = block[: i + 1]
+            run = np.minimum.accumulate(block, out=mins[: len(block)])
+            np.minimum(run, run_min, out=run)
+            zeros = np.flatnonzero(block <= run)
+            zeros += steps + 1
+            starts, ends = _rank_gaps(np.concatenate(([last_rec], zeros)), dt, top_j, starts, ends)
+            if hit:
+                lengths = np.zeros(top_j)
+                lengths[: len(starts)] = ends * dt - starts * dt
+                return (steps + i + frac) * dt, lengths
+            last_rec = int(zeros[-1])
+            run_min = min(run_min, low)
+        last = block[-1]
+        steps += m
 
 
 def uncensored_limit_draws(

@@ -87,16 +87,6 @@ class WalkStatistics:
         hi = int(self.boundaries[t])
         return np.bincount(self.perm[lo:hi])
 
-    def tree_empirical(self, rank: int) -> np.ndarray:
-        counts = self.tree_degree_counts(rank)
-        return counts / counts.sum()
-
-    def tree_sigma_sq(self, rank: int) -> float:
-        """Second moment of the rank-th tree's empirical degree distribution."""
-        p = self.tree_empirical(rank)
-        i = np.arange(len(p))
-        return float((i * i * p).sum())
-
 
 def _tree_boundaries(walk: np.ndarray, c: int) -> np.ndarray:
     """Ends of the c tree segments of a coding walk (1-based step counts).

@@ -26,6 +26,13 @@ from .sampler import substream, walk_statistics
 DEFAULT_T_CAP = 500.0
 LIMIT_FIRST = 10_000_000  # substream index of the first limit draw
 
+# Fixed bars of the experiments' statistics.
+_KS_TOL = 0.12  # tau and top-1 tree size
+_WALK_KS_TOL = 0.06
+_LARGEST_MARKED_FREQ = 0.95
+_DELTA = 0.05  # degree-deviation threshold
+_QUANTILE = 0.99  # degree-deviation quantile
+
 
 # ---------------------------------------------------------------------------
 # statistics helpers
@@ -84,16 +91,17 @@ class ExperimentReport:
         )
 
 
-def _check_reps(reps: int):
+def _check_regime(reps: int, n: int, cn: int):
+    """Reject reps < 1 and cn outside the supercritical regime cn <= n^0.4."""
     if reps < 1:
         raise EmptySample(f"need at least one replicate, got reps={reps}")
+    if cn > n**0.4:
+        raise ValueError(f"cn={cn} outside the supercritical regime (cn <= n^0.4)")
 
 
 def _setup(p, n: int, cn: int, reps: int, seed: int) -> tuple[DegreeSequence, float]:
-    """Check reps and the supercritical regime, then build the degree sequence."""
-    _check_reps(reps)
-    if cn > n**0.4:
-        raise ValueError(f"cn={cn} outside the supercritical regime (cn <= n^0.4)")
+    """Check reps and the regime, then build the degree sequence (whose c is cn)."""
+    _check_regime(reps, n, cn)
     s = make_degree_sequence(p, n, cn, seed)
     return s, limit_sigma(s)
 
@@ -108,7 +116,7 @@ def _params(p, extra: Mapping) -> dict:
 # experiments
 
 
-def experiment_tau(p, n: int, cn: int, reps: int, seed: int, tol: float = 0.12) -> ExperimentReport:
+def experiment_tau(p, n: int, cn: int, reps: int, seed: int) -> ExperimentReport:
     """KS of (n - largest tree)/cn^2 and tau_n/cn^2 against the tau(1/sigma) CDF."""
     t0 = time.perf_counter()
     s, sigma = _setup(p, n, cn, reps, seed)
@@ -127,7 +135,7 @@ def experiment_tau(p, n: int, cn: int, reps: int, seed: int, tol: float = 0.12) 
         ks_small = ks_one_sample(small_mass, cdf)
         ks_tau = ks_one_sample(taus, cdf)
         report.stats = {"sigma": sigma, "ks_small_mass": ks_small, "ks_tau": ks_tau}
-        report.passed = {"ks_small_mass": ks_small <= tol}
+        report.passed = {"ks_small_mass": ks_small <= _KS_TOL}
     report.runtime = time.perf_counter() - t0
     return report
 
@@ -141,7 +149,6 @@ def experiment_tree_sizes(
     seed: int,
     limit_reps: int = 3000,
     dt: float = 1e-4,
-    tol: float = 0.12,
     t_cap: float = DEFAULT_T_CAP,
 ) -> ExperimentReport:
     """Ranked small-tree sizes / cn^2 vs simulated ranked excursion lengths."""
@@ -177,13 +184,13 @@ def experiment_tree_sizes(
             "sum_statistic_mean": float(sums.mean()),
         }
         monotone = bool(np.all(np.diff(forest_side, axis=1) <= 0))
-        report.passed = {"ks_top1": ks[0] <= tol, "sizes_weakly_decreasing": monotone}
+        report.passed = {"ks_top1": ks[0] <= _KS_TOL, "sizes_weakly_decreasing": monotone}
     report.runtime = time.perf_counter() - t0
     return report
 
 
 def experiment_walk(
-    p, n: int, cn: int, reps: int, t_points: Sequence[float], seed: int, tol: float = 0.06
+    p, n: int, cn: int, reps: int, t_points: Sequence[float], seed: int
 ) -> ExperimentReport:
     """Marginals of the rescaled coding walk against Normal(0, sigma^2 t)."""
     t0 = time.perf_counter()
@@ -213,7 +220,7 @@ def experiment_walk(
         ks = ks_one_sample(vals[:, j], lambda x: scipy.stats.norm.cdf(x, scale=scale))
         stats["ks"][str(t)] = ks
         stats["variance"][str(t)] = float(vals[:, j].var())
-        passed[f"ks_t={t}"] = ks <= tol
+        passed[f"ks_t={t}"] = ks <= _WALK_KS_TOL
     # A sample with no spread leaves a ratio or correlation undefined: it is
     # reported as null and its check fails.
     if 1.0 in t_points and 2.0 in t_points:
@@ -241,8 +248,6 @@ def experiment_degrees(
     degrees: Sequence[int],
     trees: Sequence[int],
     seed: int,
-    delta: float = 0.05,
-    quantile: float = 0.99,
 ) -> ExperimentReport:
     """Per-tree empirical degree distributions against the global one."""
     t0 = time.perf_counter()
@@ -267,15 +272,15 @@ def experiment_degrees(
             idx = np.arange(len(counts))
             s_diffs[l][rep] = abs(float((idx * idx * counts).sum()) / size - global_sig)
     stats = {
-        "p_quantiles": {f"i={i},l={l}": float(np.quantile(v, quantile)) for (i, l), v in p_diffs.items()},
-        "p_exceedance": {f"i={i},l={l}": float((v > delta).mean()) for (i, l), v in p_diffs.items()},
-        "sigma_sq_quantiles": {f"l={l}": float(np.quantile(v, quantile)) for l, v in s_diffs.items()},
-        "sigma_sq_exceedance": {f"l={l}": float((v > delta).mean()) for l, v in s_diffs.items()},
+        "p_quantiles": {f"i={i},l={l}": float(np.quantile(v, _QUANTILE)) for (i, l), v in p_diffs.items()},
+        "p_exceedance": {f"i={i},l={l}": float((v > _DELTA).mean()) for (i, l), v in p_diffs.items()},
+        "sigma_sq_quantiles": {f"l={l}": float(np.quantile(v, _QUANTILE)) for l, v in s_diffs.items()},
+        "sigma_sq_exceedance": {f"l={l}": float((v > _DELTA).mean()) for l, v in s_diffs.items()},
     }
     report = ExperimentReport(
         "degrees",
         _params(p, {"n": n, "cn": cn, "reps": reps, "degrees": list(degrees),
-                    "trees": list(trees), "seed": seed, "delta": delta}),
+                    "trees": list(trees), "seed": seed, "delta": _DELTA}),
         stats=stats,
         passed={},
     )
@@ -283,7 +288,7 @@ def experiment_degrees(
     return report
 
 
-def experiment_largest_marked(p, n: int, cn: int, reps: int, seed: int, tol: float = 0.95) -> ExperimentReport:
+def experiment_largest_marked(p, n: int, cn: int, reps: int, seed: int) -> ExperimentReport:
     """Frequency of the marked tree being the largest tree, with a CI."""
     t0 = time.perf_counter()
     s, _ = _setup(p, n, cn, reps, seed)
@@ -294,7 +299,7 @@ def experiment_largest_marked(p, n: int, cn: int, reps: int, seed: int, tol: flo
         "largest_marked",
         _params(p, {"n": n, "cn": cn, "reps": reps, "seed": seed}),
         stats={"frequency": freq, "ci95_half_width": half_ci},
-        passed={"frequency": freq >= tol},
+        passed={"frequency": freq >= _LARGEST_MARKED_FREQ},
     )
     report.runtime = time.perf_counter() - t0
     return report
@@ -316,7 +321,7 @@ def experiment_concentration(
     binomial standard errors.
     """
     t0 = time.perf_counter()
-    _check_reps(reps)
+    _check_regime(reps, s.n, s.c)
     thresholds = list(thresholds)
     if any(not 0 < t < 1 for t in thresholds):
         raise ValueError("thresholds must lie in (0, 1)")

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -237,13 +240,20 @@ def test_missing_or_empty_arguments_are_invalid(capsys, argv):
     ("verify", "tau", "--n", "-5", "--seed", "1", "--reps", "2"),
     ("verify", "tau", "--p", '{"0": null}', "--n", "100", "--seed", "1", "--reps", "2"),
     ("verify", "sizes", "--n", "100", "--cn", "4", "--seed", "1", "--reps", "2", "--top", "-1"),
+    ("verify", "concentration", "--n", "100000", "--cn", "500", "--reps", "3", "--seed", "1"),
+    ("verify", "tau", "--p", '{"0": NaN, "2": 1}', "--n", "100", "--seed", "1", "--reps", "2"),
+    ("limit", "sample-tau", "--sigma", "nan", "--count", "3", "--seed", "1"),
+    ("limit", "sample-tau", "--sigma", "inf", "--count", "3", "--seed", "1"),
+    ("limit", "excursions", "--sigma", "nan", "--seed", "1"),
 ], ids=["degrees_rank_above_c", "counts_not_a_mapping", "degseq_file_without_counts",
         "degseq_file_is_a_list", "tree_float_entries", "tree_negative_entry",
         "tree_nested_list", "bridge_float_entries", "bridge_nested_list",
         "bridge_not_a_sequence", "walk_nested_list", "counts_fractional",
         "degseq_file_fractional_counts", "sample_top_negative", "sample_count_negative",
         "limit_top_zero", "limit_count_negative", "verify_n_negative",
-        "verify_profile_weight_null", "verify_top_negative"])
+        "verify_profile_weight_null", "verify_top_negative", "concentration_cn_above_n_to_the_04",
+        "verify_profile_weight_nan", "sample_tau_sigma_nan", "sample_tau_sigma_inf",
+        "excursions_sigma_nan"])
 def test_malformed_inputs_are_invalid(tmp_path, capsys, argv):
     # "file:<text>" stands for the path of a file that holds <text>.
     for i, arg in enumerate(argv):
@@ -257,6 +267,22 @@ def test_malformed_inputs_are_invalid(tmp_path, capsys, argv):
     assert err.startswith("error: ")
     if "--top" in argv and int(argv[argv.index("--top") + 1]) < 1:
         assert "--top" in err
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # Every `planeforest ...` command of the README's "Command line" section,
+    # in order: the later ones read the files the earlier ones write.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    commands = []
+    for line in section.splitlines():
+        if line.startswith("planeforest "):
+            commands.append(line)
+        commands += re.findall(r"`(planeforest [^`]*)`", line)
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert main(shlex.split(command)[1:]) == EXIT_OK, command
 
 
 def test_usage_error_exits_invalid(capsys):

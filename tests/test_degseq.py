@@ -77,13 +77,14 @@ def test_empirical_moments_exact():
     assert e.probs[2] == pytest.approx(2 / 6)
     assert e.mean == pytest.approx(4 / 6)  # (0*4 + 2*2)/6
     assert e.second_moment == pytest.approx(8 / 6)
-    assert e.factorial_moment == pytest.approx(4 / 6)  # sum j(j-1) s^j / n
 
 
 def test_limit_sigma_matches_factorial_moment():
     s = validate({0: 4, 2: 2})
     assert limit_sigma(s) == pytest.approx(math.sqrt(4 / 6))
-    assert limit_sigma(s) ** 2 == pytest.approx(empirical(s).factorial_moment)
+    # sum j(j-1) s^j / n is the second moment minus the mean.
+    e = empirical(s)
+    assert limit_sigma(s) ** 2 == pytest.approx(e.second_moment - e.mean)
 
 
 def test_truncated_moments_full_truncation_recovers_totals():
@@ -142,6 +143,14 @@ def test_make_degree_sequence_infeasible_target():
     # that far within the allowed number of swaps.
     with pytest.raises(Infeasible):
         make_degree_sequence(geometric_profile(), 10_000, 10_000, seed=0)
+
+
+@pytest.mark.parametrize("weight", [None, "x", math.nan, math.inf, -math.inf])
+def test_make_degree_sequence_rejects_bad_weights(weight):
+    # A bad weight is named, not dropped or left to fail further on.
+    for p in ({0: 0.5, 1: 0.25, 2: weight}, [0.5, 0.25, weight]):
+        with pytest.raises(ValueError, match="weight of degree 2"):
+            make_degree_sequence(p, 1000, 6)
 
 
 def test_json_round_trip():

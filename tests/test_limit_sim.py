@@ -60,6 +60,19 @@ def test_tau_domain_errors():
         tau_cdf(1.0, -2.0)
 
 
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_sigma_must_be_positive_and_finite(sigma):
+    calls = [
+        lambda: tau_density(1.0, sigma),
+        lambda: tau_cdf(1.0, sigma),
+        lambda: sample_tau_exact(sigma, rng_from_seed(1), size=3),
+        lambda: sample_limit_vector(sigma, 1, 1e-2, rng_from_seed(1)),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="sigma"):
+            call()
+
+
 def test_sample_tau_exact_matches_cdf():
     sig = math.sqrt(2.0)
     samples = sample_tau_exact(sig, rng_from_seed(5), size=20_000)

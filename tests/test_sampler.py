@@ -117,10 +117,7 @@ def test_walk_statistics_per_tree_degrees():
     for rank in range(1, s.c + 1):
         counts = ws.tree_degree_counts(rank)
         total[: len(counts)] += counts
-        p = ws.tree_empirical(rank)
-        assert p.sum() == 1.0
-        i = np.arange(len(p))
-        assert ws.tree_sigma_sq(rank) == float((i * i * p).sum())
+        assert counts.sum() == ws.ranked_sizes[rank - 1]
     assert total.tolist() == [8, 0, 4, 1]
 
 

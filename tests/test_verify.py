@@ -57,7 +57,7 @@ def test_chi_square_uniform():
 
 
 def test_experiment_report_json_round_trip():
-    rep = experiment_tau(geometric_profile(), 2000, 6, 30, seed=3, tol=0.9)
+    rep = experiment_tau(geometric_profile(), 2000, 6, 30, seed=3)
     obj = json.loads(rep.to_json())
     assert obj["name"] == "tau"
     assert obj["params"]["n"] == 2000
@@ -67,7 +67,7 @@ def test_experiment_report_json_round_trip():
 
 
 def test_experiment_tau_structure_and_scaling():
-    rep = experiment_tau(geometric_profile(), 4000, 8, 60, seed=4, tol=0.9)
+    rep = experiment_tau(geometric_profile(), 4000, 8, 60, seed=4)
     assert 0 <= rep.stats["ks_tau"] <= 1
     assert rep.stats["sigma"] == pytest.approx(math.sqrt(2.0), abs=0.05)
 
@@ -78,7 +78,7 @@ def test_experiment_tau_rejects_large_cn():
 
 
 def test_experiment_walk_small_run():
-    rep = experiment_walk(geometric_profile(), 4000, 8, 200, (0.5, 1.0, 2.0), seed=5, tol=0.2)
+    rep = experiment_walk(geometric_profile(), 4000, 8, 200, (0.5, 1.0, 2.0), seed=5)
     assert set(rep.stats["ks"]) == {"0.5", "1.0", "2.0"}
     # even a small run should land in a loose variance window
     assert 1.2 < rep.stats["variance_ratio_2_over_1"] < 3.0
@@ -95,7 +95,7 @@ def test_experiment_degrees_quantiles_shrink_with_n():
 
 
 def test_experiment_largest_marked_small_run():
-    rep = experiment_largest_marked(geometric_profile(), 4000, 6, 200, seed=7, tol=0.5)
+    rep = experiment_largest_marked(geometric_profile(), 4000, 6, 200, seed=7)
     freq = rep.stats["frequency"]
     assert 0.5 < freq <= 1.0
     assert rep.stats["ci95_half_width"] == pytest.approx(
@@ -114,7 +114,7 @@ def test_experiment_concentration_bound_holds_small():
 
 def test_experiment_tree_sizes_small_run():
     rep = experiment_tree_sizes(
-        geometric_profile(), 4000, 8, reps=60, top_j=2, limit_reps=60, dt=1e-3, seed=9, tol=0.9
+        geometric_profile(), 4000, 8, reps=60, top_j=2, limit_reps=60, dt=1e-3, seed=9
     )
     ks = rep.stats["ks_per_coordinate"]
     assert len(ks) == 2
@@ -172,7 +172,8 @@ def test_experiments_reject_zero_reps(run):
     lambda p, cn: experiment_degrees(p, 1000, cn, 10, degrees=(0,), trees=(1,), seed=1),
     lambda p, cn: experiment_tree_sizes(p, 1000, cn, 10, top_j=2, seed=1),
     lambda p, cn: experiment_walk(p, 1000, cn, 10, (0.5, 1.0), seed=1),
-], ids=["tau", "largest_marked", "degrees", "tree_sizes", "walk"])
+    lambda p, cn: experiment_concentration(make_degree_sequence(p, 1000, cn), 0, (0.5,), 10, seed=1),
+], ids=["tau", "largest_marked", "degrees", "tree_sizes", "walk", "concentration"])
 def test_experiments_reject_cn_above_n_to_the_04(run):
     # 1000^0.4 = 15.8 < 16
     with pytest.raises(ValueError, match="supercritical"):
