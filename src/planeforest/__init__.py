@@ -8,7 +8,6 @@ from .degseq import (
     geometric_profile,
     limit_sigma,
     make_degree_sequence,
-    truncated_moments,
     validate,
 )
 from .forest_codec import (
@@ -55,9 +54,6 @@ from .realtree import (
     coding_pseudometric,
     contour_function,
     first_visit_times,
-    gh_distance_bruteforce,
-    gh_upper_bound_from_codings,
-    ghp_distance_bruteforce,
     metric_snapshot,
     tree_graph_metric,
 )

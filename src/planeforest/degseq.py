@@ -61,6 +61,11 @@ class EmpiricalDist:
         object.__setattr__(self, "probs", dict(self.probs))
 
 
+def _as_degree(i) -> int:
+    """An integer degree; JSON object keys are strings."""
+    return int(i) if isinstance(i, str) else operator.index(i)
+
+
 def validate(counts: Mapping[int, int]) -> DegreeSequence:
     """Check that ``counts`` is the degree sequence of some plane forest."""
     if not isinstance(counts, Mapping):
@@ -68,8 +73,7 @@ def validate(counts: Mapping[int, int]) -> DegreeSequence:
     clean = {}
     for i, k in counts.items():
         try:
-            # JSON object keys are strings.
-            i = int(i) if isinstance(i, str) else operator.index(i)
+            i = _as_degree(i)
             k = operator.index(k)
         except (TypeError, ValueError):
             raise NotAForest(f"degree {i!r} and its count {k!r} must be integers") from None
@@ -102,23 +106,6 @@ def empirical(s: DegreeSequence) -> EmpiricalDist:
     return EmpiricalDist(probs, mean, second)
 
 
-def truncated_moments(s: DegreeSequence, t: int) -> tuple[float, float, float]:
-    """Truncated moment triple (mu_plus, sigma_plus_sq, sigma_minus_sq).
-
-    mu_plus and sigma_plus_sq collect the mass of degrees above the
-    truncation level t; sigma_minus_sq is the variance of a degree-1 step
-    with the heavy degrees zeroed out.
-    """
-    if t < 1:
-        raise ValueError("truncation level must be >= 1")
-    n = s.n
-    mu_plus = sum((j - 1) * k for j, k in s.counts.items() if j >= t + 1) / n
-    sigma_plus_sq = sum(j * (j - 1) * k for j, k in s.counts.items() if j >= t + 1) / n
-    low = sum((j - 1) ** 2 * k for j, k in s.counts.items() if j <= t) / n
-    sigma_minus_sq = low - (-mu_plus - s.c / n) ** 2
-    return mu_plus, sigma_plus_sq, sigma_minus_sq
-
-
 def limit_sigma(s: DegreeSequence) -> float:
     """sqrt of the factorial second moment; the scale of every limit law."""
     return math.sqrt(sum(j * (j - 1) * k for j, k in s.counts.items()) / s.n)
@@ -148,10 +135,14 @@ def make_degree_sequence(
     del seed
     weights = {}
     for i, w in p.items() if isinstance(p, Mapping) else enumerate(p):
+        try:
+            i = _as_degree(i)
+        except (TypeError, ValueError):
+            raise ValueError(f"degree {i!r} must be an integer") from None
         if not isinstance(w, numbers.Real) or not math.isfinite(w):
             raise ValueError(f"weight of degree {i} must be a finite number, got {w!r}")
         if w > 0:
-            weights[int(i)] = float(w)
+            weights[i] = float(w)
     total_w = sum(weights.values())
     if total_w <= 0:
         raise ValueError("p must have positive mass")

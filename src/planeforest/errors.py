@@ -30,7 +30,7 @@ class CapExceeded(PlaneForestError):
 
 
 class TooLarge(PlaneForestError):
-    """Input exceeds the brute-force size cap."""
+    """Input exceeds the size cap of exhaustive enumeration."""
 
 
 class EmptySample(PlaneForestError):

@@ -48,7 +48,8 @@ def simulate_to_hit(
     simulated time passes t_cap: tau has infinite mean, so callers must
     either accept censoring or re-raise.
     """
-    if x <= 0 or dt <= 0:
+    # Written so that NaN fails the check.
+    if not (x > 0 and dt > 0):
         raise ValueError("x and dt must be positive")
     sqdt = math.sqrt(dt)
     max_steps = int(t_cap / dt)
@@ -97,8 +98,8 @@ def ranked_excursions(values, dt: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_sigma(sigma: float, t=1.0):
     """Raise DomainError unless sigma is positive and finite and every t is positive."""
-    # NaN fails both comparisons, so it is rejected with the infinities.
-    if not 0 < sigma < math.inf or np.any(np.asarray(t) <= 0):
+    # NaN fails every comparison, so it is rejected with the infinities.
+    if not 0 < sigma < math.inf or not np.all(np.asarray(t) > 0):
         raise DomainError(f"need 0 < sigma < inf and t > 0, got sigma={sigma}")
 
 
@@ -146,7 +147,7 @@ def sample_limit_vector(
     ranked_excursions are the whole-path reference for the same bits.
     """
     _check_sigma(sigma)
-    if top_j < 1 or dt <= 0:
+    if top_j < 1 or not dt > 0:
         raise DomainError("need top_j >= 1 and dt > 0")
     x = 1.0 / sigma
     sqdt = math.sqrt(dt)

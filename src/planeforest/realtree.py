@@ -3,7 +3,8 @@
 The coding pseudometric of a function g is
 ``d(s, t) = g(s) + g(t) - 2 * min g on [s, t]``; quotienting its zero set
 yields a real tree.  Here everything is piecewise linear, so minima are
-exact, and small metric spaces admit brute-force Gromov-Hausdorff search.
+exact.  A plane tree's contour function, sampled at the first visit of
+each node, gives back the tree's graph metric.
 """
 
 from __future__ import annotations
@@ -11,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .errors import TooLarge
 from .forest_codec import PlaneTree
 
 _TRI_TOL = 1e-9
@@ -62,10 +61,9 @@ class CodingFunction:
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """Distance matrix with optional probability masses."""
+    """Validated finite distance matrix."""
 
     dist: np.ndarray
-    masses: np.ndarray | None = None
 
     def __post_init__(self):
         d = np.asarray(self.dist, dtype=float)
@@ -74,15 +72,9 @@ class FiniteMetricSpace:
             raise ValueError("distance matrix must be square")
         if not np.allclose(d, d.T, atol=_TRI_TOL) or np.abs(np.diag(d)).max() > _TRI_TOL:
             raise ValueError("matrix is not a metric: symmetry/diagonal")
-        n = d.shape[0]
-        for k in range(n):
+        for k in range(d.shape[0]):
             if np.any(d > d[:, k, None] + d[None, k, :] + _TRI_TOL):
                 raise ValueError("triangle inequality violated")
-        if self.masses is not None:
-            m = np.asarray(self.masses, dtype=float)
-            object.__setattr__(self, "masses", m)
-            if m.shape != (n,) or abs(m.sum() - 1.0) > 1e-9 or np.any(m < 0):
-                raise ValueError("masses must be a probability vector")
 
     @property
     def size(self) -> int:
@@ -97,8 +89,8 @@ def coding_pseudometric(g: CodingFunction, s: float, t: float) -> float:
 def metric_snapshot(g: CodingFunction, sample_times) -> FiniteMetricSpace:
     """Pairwise coding distances at the sample times, zero-pairs identified.
 
-    Masses are uniform over the sample times; identified points accumulate
-    the mass of every time that maps to them.
+    A time at distance <= 1e-12 from an earlier kept time is dropped, so
+    the points are the first times of the classes, in sample order.
     """
     times = list(sample_times)
     m = len(times)
@@ -106,21 +98,12 @@ def metric_snapshot(g: CodingFunction, sample_times) -> FiniteMetricSpace:
     for i in range(m):
         for j in range(i + 1, m):
             full[i, j] = full[j, i] = coding_pseudometric(g, times[i], times[j])
-    # Quotient: group sample times at coding distance ~0.
+    # Quotient: keep one sample time per class at coding distance ~0.
     reps: list[int] = []
-    group = np.empty(m, dtype=int)
     for i in range(m):
-        for gi, r in enumerate(reps):
-            if full[i, r] <= 1e-12:
-                group[i] = gi
-                break
-        else:
-            group[i] = len(reps)
+        if not any(full[i, r] <= 1e-12 for r in reps):
             reps.append(i)
-    k = len(reps)
-    dist = full[np.ix_(reps, reps)]
-    masses = np.bincount(group, minlength=k) / m
-    return FiniteMetricSpace(dist, masses)
+    return FiniteMetricSpace(full[np.ix_(reps, reps)])
 
 
 def _depths(t: PlaneTree) -> np.ndarray:
@@ -133,7 +116,7 @@ def _depths(t: PlaneTree) -> np.ndarray:
 
 
 def tree_graph_metric(t: PlaneTree) -> FiniteMetricSpace:
-    """Graph distances of a plane tree, with uniform node masses."""
+    """Graph distances between the nodes of a plane tree, in lex order."""
     n = t.size
     par = t.parents()
     depth = _depths(t)
@@ -150,8 +133,7 @@ def tree_graph_metric(t: PlaneTree) -> FiniteMetricSpace:
                 a, b = par[a], par[b]
                 da -= 1
             dist[i, j] = dist[j, i] = depth[i] + depth[j] - 2 * da
-    masses = np.full(n, 1.0 / n)
-    return FiniteMetricSpace(dist, masses / masses.sum())
+    return FiniteMetricSpace(dist)
 
 
 def contour_function(t: PlaneTree) -> CodingFunction:
@@ -179,105 +161,3 @@ def first_visit_times(t: PlaneTree) -> np.ndarray:
     depth(i) edges on the root path once, every other edge twice.
     """
     return (2 * np.arange(t.size) - _depths(t)).astype(float)
-
-
-def _map_pairs(dx: np.ndarray, dy: np.ndarray, limit):
-    """Branch-and-bound over map pairs (f: X->Y, g: Y->X).
-
-    Every correspondence contains graph(f) union graph(g) for some map
-    pair and distortion is monotone under inclusion, so the minimum over
-    map pairs equals the minimum over all correspondences.  f is assigned
-    point by point, then g; each assignment adds its |dx - dy| terms to
-    the running distortion, and a branch is cut once that reaches
-    ``limit()``, which the caller may lower between yields.  Yields
-    ``(f, g, distortion)`` for each complete pair below the limit.
-    """
-    nx, ny = dx.shape[0], dy.shape[0]
-    f = [-1] * nx
-    g = [-1] * ny
-
-    def extend(k: int, cur: float):
-        if cur >= limit():
-            return
-        if k == nx + ny:
-            yield tuple(f), tuple(g), cur
-        elif k < nx:
-            for cand in range(ny):
-                f[k] = cand
-                terms = [abs(dx[a, k] - dy[f[a], cand]) for a in range(k + 1)]
-                yield from extend(k + 1, max(cur, *terms))
-        else:
-            j = k - nx
-            for cand in range(nx):
-                g[j] = cand
-                terms = [abs(dy[j, b] - dx[cand, g[b]]) for b in range(j + 1)]
-                terms += [abs(dx[a, cand] - dy[f[a], j]) for a in range(nx)]
-                yield from extend(k + 1, max(cur, *terms))
-
-    yield from extend(0, 0.0)
-
-
-def gh_distance_bruteforce(x: FiniteMetricSpace, y: FiniteMetricSpace, cap: int = 7) -> float:
-    """Gromov-Hausdorff distance: half the minimal correspondence distortion."""
-    if x.size > cap or y.size > cap:
-        raise TooLarge(f"brute force capped at {cap} points")
-    best = np.inf
-    for _, _, dis in _map_pairs(x.dist, y.dist, lambda: best):
-        best = dis
-    return best / 2.0
-
-
-def _min_coupling_outside(r_mask: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:
-    """min over couplings of the mass placed outside the correspondence."""
-    nx, ny = r_mask.shape
-    cost = (~r_mask).astype(float).ravel()
-    # Row sums of the nx-by-ny plan are mu, column sums are nu.
-    a_eq = np.vstack([np.kron(np.eye(nx), np.ones(ny)), np.kron(np.ones(nx), np.eye(ny))])
-    b_eq = np.concatenate([mu, nu])
-    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"coupling LP failed: {res.message}")
-    return float(res.fun)
-
-
-def ghp_distance_bruteforce(x: FiniteMetricSpace, y: FiniteMetricSpace, cap: int = 7) -> float:
-    """Certified upper bound on the Gromov-Hausdorff-Prokhorov distance.
-
-    For a correspondence R with distortion D and a coupling pi of the two
-    mass vectors, gluing along R gives Hausdorff term D/2 and Prokhorov
-    term at most max(D/2, pi(outside R)), so the bound is
-    ``D/2 + max(D/2, min-coupling mass outside R)``.  The minimum is taken
-    over all map-pair correspondences, with the coupling solved exactly as
-    a transport LP (which dominates any fixed-grid coupling search).  The
-    bound is at least D, so only map pairs with D below the best bound so
-    far can lower it, and the search stops at an exact 0.
-    """
-    if x.size > cap or y.size > cap:
-        raise TooLarge(f"brute force capped at {cap} points")
-    if x.masses is None or y.masses is None:
-        raise ValueError("GHP needs mass vectors on both spaces")
-    nx, ny = x.size, y.size
-    best = np.inf
-    for f, g, dis in _map_pairs(x.dist, y.dist, lambda: best):
-        mask = np.zeros((nx, ny), dtype=bool)
-        mask[range(nx), f] = True
-        mask[g, range(ny)] = True
-        outside = _min_coupling_outside(mask, x.masses, y.masses)
-        best = min(best, dis / 2.0 + max(dis / 2.0, outside))
-        if best == 0.0:
-            break
-    return float(best)
-
-
-def gh_upper_bound_from_codings(f: CodingFunction, g: CodingFunction) -> float:
-    """2 * sup |f - g| after rescaling both supports to [0, 1].
-
-    Standard comparison bound between trees coded by two functions; always
-    at least the brute-force GH distance of common snapshots.
-    """
-    sf = f.support or 1.0
-    sg = g.support or 1.0
-    grid = np.union1d(f.times / sf, g.times / sg)
-    fv = np.interp(grid, f.times / sf, f.values)
-    gv = np.interp(grid, g.times / sg, g.values)
-    return 2.0 * float(np.abs(fv - gv).max())

@@ -14,7 +14,6 @@ from planeforest import (
     geometric_profile,
     limit_sigma,
     make_degree_sequence,
-    truncated_moments,
     validate,
 )
 from planeforest.errors import EmptySequence, Infeasible, NotAForest
@@ -87,26 +86,6 @@ def test_limit_sigma_matches_factorial_moment():
     assert limit_sigma(s) ** 2 == pytest.approx(e.second_moment - e.mean)
 
 
-def test_truncated_moments_full_truncation_recovers_totals():
-    s = validate({0: 5, 1: 3, 2: 2})
-    mu_plus, sig_plus, sig_minus = truncated_moments(s, s.max_degree())
-    e = empirical(s)
-    # With the threshold at the max degree the "small" part is everything.
-    assert mu_plus == pytest.approx(0.0)
-    assert sig_plus == pytest.approx(0.0)
-    assert sig_minus >= 0.0
-    assert sig_minus <= e.second_moment + 1e-12
-
-
-def test_truncated_moments_split_is_consistent():
-    s = validate({0: 11, 1: 2, 2: 2, 5: 2})
-    for t in range(1, s.max_degree() + 1):
-        mu_plus, sig_plus, _ = truncated_moments(s, t)
-        direct_mu = sum((j - 1) * cnt for j, cnt in s.counts.items() if j > t) / s.n
-        assert mu_plus == pytest.approx(direct_mu)
-        assert sig_plus >= 0.0
-
-
 def test_geometric_profile_shape():
     p = geometric_profile()
     assert p[0] == pytest.approx(0.5)
@@ -151,6 +130,15 @@ def test_make_degree_sequence_rejects_bad_weights(weight):
     for p in ({0: 0.5, 1: 0.25, 2: weight}, [0.5, 0.25, weight]):
         with pytest.raises(ValueError, match="weight of degree 2"):
             make_degree_sequence(p, 1000, 6)
+
+
+def test_make_degree_sequence_rejects_fractional_degrees():
+    # A fractional degree is named, not truncated to the integer below it.
+    with pytest.raises(ValueError, match="degree 1.7"):
+        make_degree_sequence({0: 0.5, 1.7: 0.25, 2: 0.25}, 1000, 250)
+    # numpy integer degrees are integers.
+    p = {np.int64(i): w for i, w in {0: 0.5, 1: 0.25, 2: 0.25}.items()}
+    assert make_degree_sequence(p, 1000, 250).counts == {0: 500, 1: 250, 2: 250}
 
 
 def test_json_round_trip():

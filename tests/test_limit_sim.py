@@ -58,6 +58,19 @@ def test_tau_domain_errors():
         tau_density(-1.0, 1.0)
     with pytest.raises(DomainError):
         tau_cdf(1.0, -2.0)
+    # NaN is not a positive time, alone or inside an array.
+    for t in (math.nan, np.array([0.5, math.nan, 2.0])):
+        for f in (tau_density, tau_cdf):
+            with pytest.raises(DomainError):
+                f(t, 1.0)
+
+
+def test_nan_level_or_step_is_rejected():
+    for x, dt in ((math.nan, 1e-2), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="positive"):
+            simulate_to_hit(x, dt, rng_from_seed(1))
+    with pytest.raises(DomainError, match="dt > 0"):
+        sample_limit_vector(1.0, 1, math.nan, rng_from_seed(1))
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, -math.inf])

@@ -1,4 +1,4 @@
-"""Coding functions, metric snapshots, and brute-force GH/GHP distances."""
+"""Coding functions, contour codings of plane trees, and metric snapshots."""
 
 import itertools
 
@@ -12,9 +12,6 @@ from planeforest import (
     coding_pseudometric,
     contour_function,
     first_visit_times,
-    gh_distance_bruteforce,
-    gh_upper_bound_from_codings,
-    ghp_distance_bruteforce,
     metric_snapshot,
     tree_graph_metric,
 )
@@ -122,8 +119,7 @@ def test_metric_snapshot_quotients_zero_distances():
     g = CodingFunction(np.arange(5.0), np.array([0.0, 1.0, 0.0, 1.0, 0.0]))
     snap = metric_snapshot(g, np.array([0.0, 2.0, 4.0, 1.0]))
     assert snap.size == 2  # the three zero-height times collapse
-    assert snap.masses.sum() == pytest.approx(1.0)
-    assert sorted(snap.masses.tolist()) == [0.25, 0.75]
+    assert np.array_equal(snap.dist, [[0, 1], [1, 0]])
 
 
 def test_tree_graph_metric_known_tree():
@@ -131,7 +127,6 @@ def test_tree_graph_metric_known_tree():
     ms = tree_graph_metric(t)
     expect = np.array([[0, 1, 1], [1, 0, 2], [1, 2, 0]], dtype=float)
     assert np.array_equal(ms.dist, expect)
-    assert ms.masses.tolist() == [1 / 3] * 3
 
 
 def test_contour_snapshot_is_isometric_to_graph_metric():
@@ -160,70 +155,6 @@ def test_metric_space_validation():
         )
 
 
-def test_gh_distance_identical_spaces():
-    ms = tree_graph_metric(PlaneTree((2, 1, 0, 0)))
-    assert gh_distance_bruteforce(ms, ms) == 0.0
-
-
-def test_gh_distance_two_point_spaces():
-    a = FiniteMetricSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    b = FiniteMetricSpace(np.array([[0.0, 3.0], [3.0, 0.0]]))
-    point = FiniteMetricSpace(np.array([[0.0]]))
-    assert gh_distance_bruteforce(a, b) == pytest.approx(1.0)  # |3-1|/2
-    assert gh_distance_bruteforce(point, a) == pytest.approx(0.5)  # diam/2
-    assert gh_distance_bruteforce(b, a) == gh_distance_bruteforce(a, b)
-
-
-def test_gh_distance_scaling_invariance_of_labels():
-    # relabeling points does not change the distance
-    t = PlaneTree((2, 0, 0))
-    ms = tree_graph_metric(t)
-    perm = [2, 0, 1]
-    reordered = FiniteMetricSpace(ms.dist[np.ix_(perm, perm)])
-    assert gh_distance_bruteforce(FiniteMetricSpace(ms.dist), reordered) == 0.0
-
-
-def test_ghp_distance_identical_and_swapped_masses():
-    a = FiniteMetricSpace(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
-    assert ghp_distance_bruteforce(a, a) == 0.0
-    for lex in [(3, 0, 0, 0), (1, 2, 0, 0), (2, 1, 0, 0)]:
-        m = tree_graph_metric(PlaneTree(lex))
-        assert ghp_distance_bruteforce(m, m) == 0.0
-    # swapping the masses of an edge with a symmetry is still isometric
-    b = FiniteMetricSpace(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.2, 0.8]))
-    c = FiniteMetricSpace(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.8, 0.2]))
-    assert ghp_distance_bruteforce(b, c) == pytest.approx(0.0)
-
-
-def test_ghp_dominates_gh_and_needs_masses():
-    a = tree_graph_metric(PlaneTree((2, 0, 0)))
-    b = tree_graph_metric(PlaneTree((1, 1, 0)))
-    assert ghp_distance_bruteforce(a, b) >= gh_distance_bruteforce(a, b) - 1e-12
-    with pytest.raises(ValueError):
-        ghp_distance_bruteforce(FiniteMetricSpace(np.array([[0.0]])), a)
-
-
-def test_ghp_detects_pure_mass_transport():
-    # same 2-point geometry, mass moved from a balanced split to one end:
-    # the optimal coupling must move 0.3 of mass across distance 2.
-    d = np.array([[0.0, 2.0], [2.0, 0.0]])
-    a = FiniteMetricSpace(d, np.array([0.5, 0.5]))
-    b = FiniteMetricSpace(d, np.array([0.8, 0.2]))
-    out = ghp_distance_bruteforce(a, b)
-    assert out > 0.0
-    assert out <= 1.0  # never worse than diam/2 with full transport
-
-
-def test_gh_upper_bound_from_codings():
-    t1 = PlaneTree((1, 0))
-    t2 = PlaneTree((2, 1, 0, 0))
-    f, g = contour_function(t1), contour_function(t2)
-    assert gh_upper_bound_from_codings(f, f) == 0.0
-    bound = gh_upper_bound_from_codings(f, g)
-    exact = gh_distance_bruteforce(tree_graph_metric(t1), tree_graph_metric(t2))
-    assert bound >= exact - 1e-12
-
-
 def test_random_coding_snapshots_are_pseudometrics():
     rng = np.random.default_rng(3)
     for _ in range(25):
@@ -234,22 +165,3 @@ def test_random_coding_snapshots_are_pseudometrics():
         snap = metric_snapshot(g, rng.uniform(0.0, 1.0, size=6))
         # constructor re-checks symmetry/triangle; verify four-point on top
         assert four_point_holds(snap.dist)
-
-
-@pytest.mark.parametrize("px,mx,py,my,want", [
-    ([1.31, 3.95], [0.97, 0.49], [1.27, 3.15], [0.54, 0.47], "0x1.851eb851eb854p-1"),
-    ([0.43, 1.92, 0.97], [0.91, 0.52, 0.36], [1.03, 0.74, 0.78], [0.69, 0.7, 0.75],
-     "0x1.3333333333333p+0"),
-    ([3.65, 0.6, 1.49], [0.49, 0.72, 0.55], [1.14, 0.07, 0.73, 1.58], [0.71, 0.32, 0.23, 0.43],
-     "0x1.8a3d70a3d70a3p+0"),
-    ([0.38, 1.46, 1.84, 2.88], [0.82, 1.09, 0.22, 0.48], [3.47, 0.21, 3.82], [0.6, 0.85, 0.41],
-     "0x1.170a3d70a3d71p+1"),
-])
-def test_ghp_values_on_points_of_a_line(px, mx, py, my, want):
-    # Values from the search that solved the coupling LP at every map pair
-    # with distortion below twice the best bound.
-    def space(p, m):
-        p, m = np.array(p), np.array(m)
-        return FiniteMetricSpace(np.abs(p[:, None] - p[None, :]), m / m.sum())
-
-    assert ghp_distance_bruteforce(space(px, mx), space(py, my)) == float.fromhex(want)
