@@ -125,26 +125,29 @@ def _cmd_limit(args) -> int:
     return EXIT_OK
 
 
+# The verify experiments that take (p, n, cn, reps, seed), by command name.
+# They are looked up on the module at call time, so a wrapped function is
+# the one called.
+_EXPERIMENTS = {
+    "tau": "experiment_tau",
+    "walk": "experiment_walk",
+    "degrees": "experiment_degrees",
+    "largest": "experiment_largest_marked",
+    "concentration": "experiment_concentration",
+}
+
+
 def _cmd_verify(args) -> int:
     _at_least_one(args, "reps", "n", "top")
+    if not 0 <= args.cn_exp < 1:
+        raise ValueError(f"--cn-exp must lie in [0, 1), got {args.cn_exp}")
     p = _parse_profile(args.p)
     cn = args.cn if args.cn is not None else int(args.n**args.cn_exp)
-    if args.experiment == "tau":
-        report = verify.experiment_tau(p, args.n, cn, args.reps, args.seed)
-    elif args.experiment == "sizes":
+    if args.experiment == "sizes":
         report = verify.experiment_tree_sizes(p, args.n, cn, args.reps, args.top, args.seed)
-    elif args.experiment == "walk":
-        report = verify.experiment_walk(p, args.n, cn, args.reps, [0.5, 1.0, 2.0], args.seed)
-    elif args.experiment == "degrees":
-        report = verify.experiment_degrees(
-            p, args.n, cn, args.reps, degrees=[0, 1, 2], trees=[1, 2], seed=args.seed
-        )
-    elif args.experiment == "largest":
-        report = verify.experiment_largest_marked(p, args.n, cn, args.reps, args.seed)
-    else:  # concentration
-        s = degseq.make_degree_sequence(p, args.n, cn, args.seed)
-        report = verify.experiment_concentration(s, degree=0, thresholds=[0.3, 0.5],
-                                                 reps=args.reps, seed=args.seed)
+    else:
+        run = getattr(verify, _EXPERIMENTS[args.experiment])
+        report = run(p, args.n, cn, args.reps, args.seed)
     _write(args.out, report.to_json())
     return EXIT_OK if report.ok else EXIT_CRITERION
 
@@ -193,8 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lim.set_defaults(func=_cmd_limit)
 
     p_ver = sub.add_parser("verify", help="Monte Carlo limit-theorem checks")
-    p_ver.add_argument("experiment",
-                       choices=["tau", "sizes", "walk", "degrees", "largest", "concentration"])
+    p_ver.add_argument("experiment", choices=[*_EXPERIMENTS, "sizes"])
     p_ver.add_argument("--p", default="geometric:0.5")
     p_ver.add_argument("--n", type=int, required=True)
     p_ver.add_argument("--cn", type=int)

@@ -31,9 +31,6 @@ class DegreeSequence:
     def __post_init__(self):
         object.__setattr__(self, "counts", dict(self.counts))
 
-    def max_degree(self) -> int:
-        return max(self.counts)
-
     def to_json(self) -> str:
         return json.dumps({"counts": {str(i): k for i, k in sorted(self.counts.items())}})
 

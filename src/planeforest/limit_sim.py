@@ -49,8 +49,9 @@ def simulate_to_hit(
     either accept censoring or re-raise.
     """
     # Written so that NaN fails the check.
-    if not (x > 0 and dt > 0):
-        raise ValueError("x and dt must be positive")
+    if not (x > 0 and 0 < dt <= t_cap):
+        raise ValueError(f"x and dt must be positive and dt <= t_cap, got x={x}, dt={dt}, "
+                         f"t_cap={t_cap}")
     sqdt = math.sqrt(dt)
     max_steps = int(t_cap / dt)
     chunks = [np.zeros(1)]
@@ -147,12 +148,13 @@ def sample_limit_vector(
     ranked_excursions are the whole-path reference for the same bits.
     """
     _check_sigma(sigma)
-    if top_j < 1 or not dt > 0:
-        raise DomainError("need top_j >= 1 and dt > 0")
+    if top_j < 1 or not 0 < dt <= t_cap:
+        raise DomainError(f"need top_j >= 1 and dt > 0 with dt <= t_cap, got top_j={top_j}, "
+                          f"dt={dt}, t_cap={t_cap}")
     x = 1.0 / sigma
     sqdt = math.sqrt(dt)
     max_steps = int(t_cap / dt)
-    buf = np.empty(max(0, min(_CHUNK, max_steps)))
+    buf = np.empty(min(_CHUNK, max_steps))
     mins = np.empty_like(buf)
     starts = ends = np.empty(0, dtype=np.int64)
     last = run_min = 0.0

@@ -42,10 +42,6 @@ class CodingFunction:
     def __call__(self, x: float) -> float:
         return float(np.interp(x, self.times, self.values))
 
-    @property
-    def support(self) -> float:
-        return float(self.times[-1])
-
     def window_min(self, a: float, b: float) -> float:
         """Exact minimum of g on [a, b] (linear interpolation between knots)."""
         if a > b:

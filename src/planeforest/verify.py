@@ -21,7 +21,7 @@ import scipy.stats
 from .degseq import DegreeSequence, degree_vector, empirical, limit_sigma, make_degree_sequence
 from .errors import EmptySample
 from .limit_sim import tau_cdf, uncensored_limit_draws
-from .sampler import substream, walk_statistics
+from .sampler import shuffle_degrees, substream, walk_statistics
 
 DEFAULT_T_CAP = 500.0
 LIMIT_FIRST = 10_000_000  # substream index of the first limit draw
@@ -32,6 +32,13 @@ _WALK_KS_TOL = 0.06
 _LARGEST_MARKED_FREQ = 0.95
 _DELTA = 0.05  # degree-deviation threshold
 _QUANTILE = 0.99  # degree-deviation quantile
+
+# Fixed shapes of the experiments.
+_WALK_T = (0.5, 1.0, 2.0)  # walk times, in units of cn^2
+_DEGREES = (0, 1, 2)  # degrees whose per-tree proportions are compared
+_TREE_RANKS = (1, 2)  # ranks of the trees compared
+_CONC_DEGREE = 0
+_CONC_THRESHOLDS = (0.3, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -91,17 +98,14 @@ class ExperimentReport:
         )
 
 
-def _check_regime(reps: int, n: int, cn: int):
-    """Reject reps < 1 and cn outside the supercritical regime cn <= n^0.4."""
+def _setup(p, n: int, cn: int, reps: int, seed: int) -> tuple[DegreeSequence, float]:
+    """Reject reps < 1 and cn outside the supercritical regime cn <= n^0.4,
+    then build the degree sequence (whose c is cn).
+    """
     if reps < 1:
         raise EmptySample(f"need at least one replicate, got reps={reps}")
     if cn > n**0.4:
         raise ValueError(f"cn={cn} outside the supercritical regime (cn <= n^0.4)")
-
-
-def _setup(p, n: int, cn: int, reps: int, seed: int) -> tuple[DegreeSequence, float]:
-    """Check reps and the regime, then build the degree sequence (whose c is cn)."""
-    _check_regime(reps, n, cn)
     s = make_degree_sequence(p, n, cn, seed)
     return s, limit_sigma(s)
 
@@ -189,33 +193,25 @@ def experiment_tree_sizes(
     return report
 
 
-def experiment_walk(
-    p, n: int, cn: int, reps: int, t_points: Sequence[float], seed: int
-) -> ExperimentReport:
+def experiment_walk(p, n: int, cn: int, reps: int, seed: int) -> ExperimentReport:
     """Marginals of the rescaled coding walk against Normal(0, sigma^2 t)."""
     t0 = time.perf_counter()
     s, sigma = _setup(p, n, cn, reps, seed)
-    dvec = degree_vector(s)
-    t_points = [float(t) for t in t_points]
-    ks_idx = [math.floor(t * cn**2) for t in t_points]
-    if max(ks_idx) > n:
+    ks_idx = [math.floor(t * cn**2) for t in _WALK_T]
+    kmax = ks_idx[-1]
+    if kmax > n:
         raise ValueError("t * cn^2 exceeds n")
-    vals = np.empty((reps, len(t_points)))
+    vals = np.empty((reps, len(_WALK_T)))
     half = np.empty((reps, 2))  # two disjoint increments for the diagnostic
-    kmax = max(max(ks_idx), 1)
     for rep in range(reps):
-        perm = substream(seed, rep).permutation(dvec)
-        walk = np.cumsum(perm[:kmax] - 1)
+        walk = np.cumsum(shuffle_degrees(s, substream(seed, rep))[:kmax] - 1)
         for j, k in enumerate(ks_idx):
-            vals[rep, j] = walk[k - 1] / cn if k >= 1 else 0.0
+            vals[rep, j] = walk[k - 1] / cn if k >= 1 else 0.0  # cn = 1 has k = 0 at t = 0.5
         mid = kmax // 2
         half[rep] = walk[mid - 1], walk[kmax - 1] - walk[mid - 1]
     stats: dict = {"sigma": sigma, "ks": {}, "variance": {}}
     passed: dict = {}
-    for j, t in enumerate(t_points):
-        if t == 0:
-            passed[f"zero_at_t0"] = bool(np.all(vals[:, j] == 0))
-            continue
+    for j, t in enumerate(_WALK_T):
         scale = sigma * math.sqrt(t)
         ks = ks_one_sample(vals[:, j], lambda x: scipy.stats.norm.cdf(x, scale=scale))
         stats["ks"][str(t)] = ks
@@ -223,50 +219,40 @@ def experiment_walk(
         passed[f"ks_t={t}"] = ks <= _WALK_KS_TOL
     # A sample with no spread leaves a ratio or correlation undefined: it is
     # reported as null and its check fails.
-    if 1.0 in t_points and 2.0 in t_points:
-        v1, v2 = stats["variance"]["1.0"], stats["variance"]["2.0"]
-        ratio = v2 / v1 if v1 > 0 else None
-        stats["variance_ratio_2_over_1"] = ratio
-        passed["variance_ratio"] = ratio is not None and 1.7 <= ratio <= 2.3
+    v1, v2 = stats["variance"]["1.0"], stats["variance"]["2.0"]
+    ratio = v2 / v1 if v1 > 0 else None
+    stats["variance_ratio_2_over_1"] = ratio
+    passed["variance_ratio"] = ratio is not None and 1.7 <= ratio <= 2.3
     spread = bool(np.ptp(half, axis=0).all())
     corr = float(np.corrcoef(half[:, 0], half[:, 1])[0, 1]) if spread else None
     stats["increment_correlation"] = corr
     passed["increment_independence"] = spread and abs(corr) <= 3.0 / math.sqrt(reps)
     report = ExperimentReport(
-        "walk", _params(p, {"n": n, "cn": cn, "reps": reps, "t_points": t_points, "seed": seed}),
+        "walk",
+        _params(p, {"n": n, "cn": cn, "reps": reps, "t_points": list(_WALK_T), "seed": seed}),
         stats=stats, passed=passed,
     )
     report.runtime = time.perf_counter() - t0
     return report
 
 
-def experiment_degrees(
-    p,
-    n: int,
-    cn: int,
-    reps: int,
-    degrees: Sequence[int],
-    trees: Sequence[int],
-    seed: int,
-) -> ExperimentReport:
+def experiment_degrees(p, n: int, cn: int, reps: int, seed: int) -> ExperimentReport:
     """Per-tree empirical degree distributions against the global one."""
     t0 = time.perf_counter()
     s, _ = _setup(p, n, cn, reps, seed)
-    if min(trees) < 1:
-        raise ValueError("tree ranks start at 1")
-    if max(trees) > s.c:
-        raise ValueError(f"tree rank {max(trees)} exceeds the tree count c = {s.c}")
+    if s.c < _TREE_RANKS[-1]:
+        raise ValueError(f"tree rank {_TREE_RANKS[-1]} exceeds the tree count c = {s.c}")
     emp = empirical(s)
-    global_p = {i: emp.probs.get(i, 0.0) for i in degrees}
+    global_p = {i: emp.probs.get(i, 0.0) for i in _DEGREES}
     global_sig = emp.second_moment
-    p_diffs = {(i, l): np.empty(reps) for i in degrees for l in trees}
-    s_diffs = {l: np.empty(reps) for l in trees}
+    p_diffs = {(i, l): np.empty(reps) for i in _DEGREES for l in _TREE_RANKS}
+    s_diffs = {l: np.empty(reps) for l in _TREE_RANKS}
     for rep in range(reps):
         ws = walk_statistics(s, substream(seed, rep))
-        for l in trees:
+        for l in _TREE_RANKS:
             counts = ws.tree_degree_counts(l)
             size = int(ws.ranked_sizes[l - 1])
-            for i in degrees:
+            for i in _DEGREES:
                 pi = counts[i] / size if i < len(counts) else 0.0
                 p_diffs[(i, l)][rep] = abs(pi - global_p[i])
             idx = np.arange(len(counts))
@@ -279,8 +265,8 @@ def experiment_degrees(
     }
     report = ExperimentReport(
         "degrees",
-        _params(p, {"n": n, "cn": cn, "reps": reps, "degrees": list(degrees),
-                    "trees": list(trees), "seed": seed, "delta": _DELTA}),
+        _params(p, {"n": n, "cn": cn, "reps": reps, "degrees": list(_DEGREES),
+                    "trees": list(_TREE_RANKS), "seed": seed, "delta": _DELTA}),
         stats=stats,
         passed={},
     )
@@ -305,30 +291,19 @@ def experiment_largest_marked(p, n: int, cn: int, reps: int, seed: int) -> Exper
     return report
 
 
-def experiment_concentration(
-    s: DegreeSequence,
-    degree: int,
-    thresholds: Sequence[float],
-    reps: int,
-    seed: int,
-) -> ExperimentReport:
+def experiment_concentration(p, n: int, cn: int, reps: int, seed: int) -> ExperimentReport:
     """Empirical check of the prefix-proportion concentration bound.
 
-    Per replicate, computes sup over window sizes m > c(s) of the deviation
-    between the global proportion of degree-``degree`` nodes and their
-    proportion among the first m entries of a shuffled degree vector; the
-    exceedance frequency is compared against exp(-3 t^2 c / 5) plus three
-    binomial standard errors.
+    Per replicate, computes sup over window sizes m > cn of the deviation
+    between the global proportion of leaves (degree-0 nodes) and their
+    proportion among the first m entries of a shuffled degree vector; at
+    each threshold t the exceedance frequency is compared against
+    exp(-3 t^2 cn / 5) plus three binomial standard errors.
     """
     t0 = time.perf_counter()
-    _check_regime(reps, s.n, s.c)
-    thresholds = list(thresholds)
-    if any(not 0 < t < 1 for t in thresholds):
-        raise ValueError("thresholds must lie in (0, 1)")
-    dvec = degree_vector(s)
-    n, cn = s.n, s.c
-    p_i = s.counts.get(degree, 0) / n
-    base = (dvec == degree).astype(np.int64)
+    s, _ = _setup(p, n, cn, reps, seed)
+    p_i = s.counts.get(_CONC_DEGREE, 0) / n
+    base = (degree_vector(s) == _CONC_DEGREE).astype(np.int64)
     ms = np.arange(cn + 1, n + 1, dtype=float)
     sups = np.empty(reps)
     for rep in range(reps):
@@ -337,7 +312,7 @@ def experiment_concentration(
         sups[rep] = np.abs(p_i - q / ms).max()
     stats: dict = {"p_i": p_i, "cn": cn, "exceedance": {}, "bound": {}}
     passed: dict = {}
-    for t in thresholds:
+    for t in _CONC_THRESHOLDS:
         freq = float((sups >= t).mean())
         bound = math.exp(-3.0 * t * t * cn / 5.0)
         slack = 3.0 * math.sqrt(bound / reps)
@@ -347,7 +322,8 @@ def experiment_concentration(
     report = ExperimentReport(
         "concentration",
         {"counts": {str(i): k for i, k in sorted(s.counts.items())},
-         "degree": degree, "thresholds": thresholds, "reps": reps, "seed": seed},
+         "degree": _CONC_DEGREE, "thresholds": list(_CONC_THRESHOLDS), "reps": reps,
+         "seed": seed},
         stats=stats,
         passed=passed,
     )

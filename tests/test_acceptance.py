@@ -244,10 +244,7 @@ def test_criterion_05_ranked_sizes():
 
 
 def test_criterion_06_walk_convergence():
-    report = experiment_walk(
-        geometric_profile(), N_LARGE, CN_LARGE, reps=1000,
-        t_points=(0.5, 1.0, 2.0), seed=SEED,
-    )
+    report = experiment_walk(geometric_profile(), N_LARGE, CN_LARGE, reps=1000, seed=SEED)
     ks = report.stats["ks"]
     ratio = report.stats["variance_ratio_2_over_1"]
     worst = max(ks.values())
@@ -276,10 +273,8 @@ def test_criterion_07_largest_tree_identification():
 def test_criterion_08_empirical_degrees():
     p = geometric_profile()
     cn_small = int(50_000**CN_EXP_SMALL_TREES)  # 14: same cn-exponent at the smaller n
-    small = experiment_degrees(p, 50_000, cn_small, reps=500,
-                               degrees=(0, 1, 2), trees=(1, 2), seed=SEED)
-    large = experiment_degrees(p, N_LARGE, CN_SMALL_TREES, reps=500,
-                               degrees=(0, 1, 2), trees=(1, 2), seed=SEED)
+    small = experiment_degrees(p, 50_000, cn_small, reps=500, seed=SEED)
+    large = experiment_degrees(p, N_LARGE, CN_SMALL_TREES, reps=500, seed=SEED)
     decreases = all(
         large.stats["p_quantiles"][k] < small.stats["p_quantiles"][k]
         for k in small.stats["p_quantiles"]
@@ -300,8 +295,7 @@ def test_criterion_08_empirical_degrees():
 
 
 def test_criterion_09_concentration_bound():
-    s = make_degree_sequence(geometric_profile(), N_LARGE, CN_LARGE, SEED)
-    report = experiment_concentration(s, degree=0, thresholds=(0.3, 0.5),
+    report = experiment_concentration(geometric_profile(), N_LARGE, CN_LARGE,
                                       reps=10_000, seed=SEED)
     checks = []
     for t in ("0.3", "0.5"):

@@ -23,7 +23,6 @@ def test_validate_basic_counts():
     s = validate({0: 4, 2: 2})
     assert s.n == 6
     assert s.c == 2
-    assert s.max_degree() == 2
 
     s = validate({0: 3, 1: 2, 3: 1})
     assert s.n == 6

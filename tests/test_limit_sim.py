@@ -73,6 +73,15 @@ def test_nan_level_or_step_is_rejected():
         sample_limit_vector(1.0, 1, math.nan, rng_from_seed(1))
 
 
+@pytest.mark.parametrize("dt", [2000.0, math.inf])
+def test_step_above_t_cap_is_rejected(dt):
+    # int(t_cap / dt) would be 0 steps, and every draw would look censored.
+    with pytest.raises(ValueError, match="dt <= t_cap"):
+        simulate_to_hit(1.0, dt, rng_from_seed(1), t_cap=1000.0)
+    with pytest.raises(DomainError, match="dt <= t_cap"):
+        sample_limit_vector(1.0, 1, dt, rng_from_seed(1), t_cap=1000.0)
+
+
 @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, -math.inf])
 def test_sigma_must_be_positive_and_finite(sigma):
     calls = [

@@ -11,7 +11,6 @@ from planeforest import (
     chi_square_uniform,
     ks_one_sample,
     ks_two_sample,
-    make_degree_sequence,
 )
 from planeforest import verify
 from planeforest.degseq import geometric_profile
@@ -78,7 +77,7 @@ def test_experiment_tau_rejects_large_cn():
 
 
 def test_experiment_walk_small_run():
-    rep = experiment_walk(geometric_profile(), 4000, 8, 200, (0.5, 1.0, 2.0), seed=5)
+    rep = experiment_walk(geometric_profile(), 4000, 8, 200, seed=5)
     assert set(rep.stats["ks"]) == {"0.5", "1.0", "2.0"}
     # even a small run should land in a loose variance window
     assert 1.2 < rep.stats["variance_ratio_2_over_1"] < 3.0
@@ -86,10 +85,11 @@ def test_experiment_walk_small_run():
 
 
 def test_experiment_degrees_quantiles_shrink_with_n():
+    # Only the largest tree (l = 1) grows with n; the second stays O(cn^2).
     p = geometric_profile()
-    small = experiment_degrees(p, 1000, 6, 150, degrees=(0, 1), trees=(1,), seed=6)
-    large = experiment_degrees(p, 8000, 12, 150, degrees=(0, 1), trees=(1,), seed=6)
-    for key in small.stats["p_quantiles"]:
+    small = experiment_degrees(p, 1000, 6, 150, seed=6)
+    large = experiment_degrees(p, 8000, 12, 150, seed=6)
+    for key in [k for k in small.stats["p_quantiles"] if k.endswith("l=1")]:
         assert large.stats["p_quantiles"][key] < small.stats["p_quantiles"][key]
     assert large.stats["sigma_sq_quantiles"]["l=1"] < small.stats["sigma_sq_quantiles"]["l=1"]
 
@@ -104,8 +104,7 @@ def test_experiment_largest_marked_small_run():
 
 
 def test_experiment_concentration_bound_holds_small():
-    s = make_degree_sequence(geometric_profile(), 2000, 6, seed=8)
-    rep = experiment_concentration(s, 0, (0.5,), 300, seed=8)
+    rep = experiment_concentration(geometric_profile(), 2000, 6, 300, seed=8)
     assert rep.ok
     exceed = rep.stats["exceedance"]["0.5"]
     bound = rep.stats["bound"]["0.5"]
@@ -141,6 +140,44 @@ def test_experiment_tree_sizes_report_is_pinned():
     }
 
 
+def test_fixed_shape_reports_are_pinned():
+    # n = 2000, cn = 6, 20 replicates at seed 1: the walk at t = 0.5, 1, 2,
+    # degrees 0-2 of the two largest trees, and leaf concentration at 0.3, 0.5.
+    p = geometric_profile()
+    walk = experiment_walk(p, 2000, 6, 20, seed=1)
+    assert walk.stats == {
+        "sigma": 1.39427400463467,
+        "ks": {"0.5": 0.2171214111727922, "1.0": 0.41338055389675743, "2.0": 0.16187652534375535},
+        "variance": {"0.5": 0.8207638888888891, "1.0": 2.3197222222222225,
+                     "2.0": 3.630208333333333},
+        "variance_ratio_2_over_1": 1.564932343431924,
+        "increment_correlation": -0.3334681429243434,
+    }
+    assert walk.passed == {"ks_t=0.5": False, "ks_t=1.0": False, "ks_t=2.0": False,
+                           "variance_ratio": False, "increment_independence": True}
+    assert walk.params["t_points"] == [0.5, 1.0, 2.0]
+    degrees = experiment_degrees(p, 2000, 6, 20, seed=1)
+    assert degrees.stats == {
+        "p_quantiles": {"i=0,l=1": 0.006339688708581084, "i=0,l=2": 0.4472142857142854,
+                        "i=1,l=1": 0.005012657463391747, "i=1,l=2": 0.38375999999999977,
+                        "i=2,l=1": 0.006443451694240164, "i=2,l=2": 0.20833333333333331},
+        "p_exceedance": {"i=0,l=1": 0.0, "i=0,l=2": 0.5, "i=1,l=1": 0.0, "i=1,l=2": 0.6,
+                         "i=2,l=1": 0.0, "i=2,l=2": 0.65},
+        "sigma_sq_quantiles": {"l=1": 0.09155077668914197, "l=2": 2.845999999999999},
+        "sigma_sq_exceedance": {"l=1": 0.1, "l=2": 0.95},
+    }
+    assert (degrees.params["degrees"], degrees.params["trees"]) == ([0, 1, 2], [1, 2])
+    conc = experiment_concentration(p, 2000, 6, 20, seed=1)
+    assert conc.stats == {
+        "p_i": 0.4985, "cn": 6, "exceedance": {"0.3": 0.3, "0.5": 0.0},
+        "bound": {"0.3": 0.7232502423798425, "0.5": 0.4065696597405991},
+    }
+    assert conc.passed == {"t=0.3": True, "t=0.5": True}
+    assert {k: v for k, v in conc.params.items() if k != "counts"} == {
+        "degree": 0, "reps": 20, "seed": 1, "thresholds": [0.3, 0.5],
+    }
+
+
 def test_experiment_tree_sizes_degenerate_at_one_tree(monkeypatch):
     # With c = 1 there are no small trees, so no limit draw is made.
     def no_draws(*args, **kwargs):
@@ -156,10 +193,10 @@ def test_experiment_tree_sizes_degenerate_at_one_tree(monkeypatch):
 @pytest.mark.parametrize("run", [
     lambda p: experiment_tau(p, 1000, 1, 0, seed=1),  # c = 1 takes the degenerate branch
     lambda p: experiment_largest_marked(p, 1000, 6, 0, seed=1),
-    lambda p: experiment_degrees(p, 1000, 6, 0, degrees=(0,), trees=(1,), seed=1),
-    lambda p: experiment_concentration(make_degree_sequence(p, 1000, 6), 0, (0.5,), 0, seed=1),
+    lambda p: experiment_degrees(p, 1000, 6, 0, seed=1),
+    lambda p: experiment_concentration(p, 1000, 6, 0, seed=1),
     lambda p: experiment_tree_sizes(p, 1000, 6, 0, top_j=2, seed=1),
-    lambda p: experiment_walk(p, 1000, 6, 0, (0.5, 1.0), seed=1),
+    lambda p: experiment_walk(p, 1000, 6, 0, seed=1),
 ], ids=["tau_degenerate", "largest_marked", "degrees", "concentration", "tree_sizes", "walk"])
 def test_experiments_reject_zero_reps(run):
     with pytest.raises(EmptySample):
@@ -169,10 +206,10 @@ def test_experiments_reject_zero_reps(run):
 @pytest.mark.parametrize("run", [
     lambda p, cn: experiment_tau(p, 1000, cn, 10, seed=1),
     lambda p, cn: experiment_largest_marked(p, 1000, cn, 10, seed=1),
-    lambda p, cn: experiment_degrees(p, 1000, cn, 10, degrees=(0,), trees=(1,), seed=1),
+    lambda p, cn: experiment_degrees(p, 1000, cn, 10, seed=1),
     lambda p, cn: experiment_tree_sizes(p, 1000, cn, 10, top_j=2, seed=1),
-    lambda p, cn: experiment_walk(p, 1000, cn, 10, (0.5, 1.0), seed=1),
-    lambda p, cn: experiment_concentration(make_degree_sequence(p, 1000, cn), 0, (0.5,), 10, seed=1),
+    lambda p, cn: experiment_walk(p, 1000, cn, 10, seed=1),
+    lambda p, cn: experiment_concentration(p, 1000, cn, 10, seed=1),
 ], ids=["tau", "largest_marked", "degrees", "tree_sizes", "walk", "concentration"])
 def test_experiments_reject_cn_above_n_to_the_04(run):
     # 1000^0.4 = 15.8 < 16
