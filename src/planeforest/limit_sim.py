@@ -20,6 +20,19 @@ from .sampler import substream
 _CHUNK = 1 << 15
 
 
+def _step_count(dt: float, t_cap: float) -> int:
+    """The int(t_cap / dt) steps after which a draw is censored.
+
+    Raises DomainError unless 0 < dt <= t_cap and the count is at most 1e8
+    (simulate_to_hit keeps 8 bytes per step).
+    """
+    # Written so that NaN fails the check.
+    if not (0 < dt <= t_cap and t_cap / dt <= 1e8):
+        raise DomainError(f"need a positive step dt > 0 with dt <= t_cap and t_cap / dt <= "
+                          f"1e8 steps, got dt={dt}, t_cap={t_cap}")
+    return int(t_cap / dt)
+
+
 def _rank_gaps(zeros, dt, top, starts, ends):
     """Add the excursions between consecutive zeros of B - min B to (starts, ends).
 
@@ -48,12 +61,10 @@ def simulate_to_hit(
     simulated time passes t_cap: tau has infinite mean, so callers must
     either accept censoring or re-raise.
     """
-    # Written so that NaN fails the check.
-    if not (x > 0 and 0 < dt <= t_cap):
-        raise ValueError(f"x and dt must be positive and dt <= t_cap, got x={x}, dt={dt}, "
-                         f"t_cap={t_cap}")
+    if not x > 0:  # NaN included
+        raise DomainError(f"level x must be positive, got x={x}")
+    max_steps = _step_count(dt, t_cap)
     sqdt = math.sqrt(dt)
-    max_steps = int(t_cap / dt)
     chunks = [np.zeros(1)]
     steps = 0
     while steps < max_steps:
@@ -148,12 +159,11 @@ def sample_limit_vector(
     ranked_excursions are the whole-path reference for the same bits.
     """
     _check_sigma(sigma)
-    if top_j < 1 or not 0 < dt <= t_cap:
-        raise DomainError(f"need top_j >= 1 and dt > 0 with dt <= t_cap, got top_j={top_j}, "
-                          f"dt={dt}, t_cap={t_cap}")
+    if top_j < 1:
+        raise DomainError(f"need top_j >= 1, got top_j={top_j}")
+    max_steps = _step_count(dt, t_cap)
     x = 1.0 / sigma
     sqdt = math.sqrt(dt)
-    max_steps = int(t_cap / dt)
     buf = np.empty(min(_CHUNK, max_steps))
     mins = np.empty_like(buf)
     starts = ends = np.empty(0, dtype=np.int64)

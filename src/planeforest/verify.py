@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -76,10 +76,10 @@ class ExperimentReport:
     """Statistics plus pass/fail flags for one experiment run."""
 
     name: str
-    params: dict = field(default_factory=dict)
-    stats: dict = field(default_factory=dict)
-    passed: dict = field(default_factory=dict)
-    runtime: float = 0.0
+    params: dict
+    stats: dict
+    passed: dict
+    runtime: float
 
     @property
     def ok(self) -> bool:
@@ -98,22 +98,18 @@ class ExperimentReport:
         )
 
 
-def _setup(p, n: int, cn: int, reps: int, seed: int) -> tuple[DegreeSequence, float]:
-    """Reject reps < 1 and cn outside the supercritical regime cn <= n^0.4,
-    then build the degree sequence (whose c is cn).
+def _setup(p, n: int, cn: int, reps: int, seed: int) -> tuple[DegreeSequence, float, dict]:
+    """Reject reps < 1 and cn outside the supercritical regime 1 <= cn <= n^0.4,
+    then build the degree sequence (whose c is cn).  Returns it, its limit
+    sigma and the report params that every experiment shares.
     """
     if reps < 1:
         raise EmptySample(f"need at least one replicate, got reps={reps}")
-    if cn > n**0.4:
-        raise ValueError(f"cn={cn} outside the supercritical regime (cn <= n^0.4)")
+    if not 1 <= cn <= n**0.4:
+        raise ValueError(f"cn={cn} outside the supercritical regime (1 <= cn <= n^0.4)")
     s = make_degree_sequence(p, n, cn, seed)
-    return s, limit_sigma(s)
-
-
-def _params(p, extra: Mapping) -> dict:
-    base = {"p": {str(i): w for i, w in sorted(dict(p).items())} if isinstance(p, Mapping) else list(p)}
-    base.update(extra)
-    return base
+    p = {str(i): w for i, w in sorted(dict(p).items())} if isinstance(p, Mapping) else list(p)
+    return s, limit_sigma(s), {"p": p, "n": n, "cn": cn, "reps": reps, "seed": seed}
 
 
 # ---------------------------------------------------------------------------
@@ -123,41 +119,34 @@ def _params(p, extra: Mapping) -> dict:
 def experiment_tau(p, n: int, cn: int, reps: int, seed: int) -> ExperimentReport:
     """KS of (n - largest tree)/cn^2 and tau_n/cn^2 against the tau(1/sigma) CDF."""
     t0 = time.perf_counter()
-    s, sigma = _setup(p, n, cn, reps, seed)
+    s, sigma, params = _setup(p, n, cn, reps, seed)
     small_mass = np.empty(reps)
     taus = np.empty(reps)
     for rep in range(reps):
         ws = walk_statistics(s, substream(seed, rep))
         small_mass[rep] = (n - ws.sizes.max()) / cn**2
         taus[rep] = ws.tau_n / cn**2
-    report = ExperimentReport("tau", _params(p, {"n": n, "cn": cn, "reps": reps, "seed": seed}))
     if s.c == 1:
-        report.stats = {"degenerate": True, "sigma": sigma}
-        report.passed = {"degenerate_tau_zero": bool(np.all(taus == 0))}
+        stats = {"degenerate": True, "sigma": sigma}
+        passed = {"degenerate_tau_zero": bool(np.all(taus == 0))}
     else:
         cdf = lambda t: tau_cdf(np.maximum(t, 1e-300), sigma)
         ks_small = ks_one_sample(small_mass, cdf)
         ks_tau = ks_one_sample(taus, cdf)
-        report.stats = {"sigma": sigma, "ks_small_mass": ks_small, "ks_tau": ks_tau}
-        report.passed = {"ks_small_mass": ks_small <= _KS_TOL}
-    report.runtime = time.perf_counter() - t0
-    return report
+        stats = {"sigma": sigma, "ks_small_mass": ks_small, "ks_tau": ks_tau}
+        passed = {"ks_small_mass": ks_small <= _KS_TOL}
+    return ExperimentReport("tau", params, stats, passed, time.perf_counter() - t0)
 
 
-def experiment_tree_sizes(
-    p,
-    n: int,
-    cn: int,
-    reps: int,
-    top_j: int,
-    seed: int,
-    limit_reps: int = 3000,
-    dt: float = 1e-4,
-    t_cap: float = DEFAULT_T_CAP,
-) -> ExperimentReport:
-    """Ranked small-tree sizes / cn^2 vs simulated ranked excursion lengths."""
+def experiment_tree_sizes(p, n: int, cn: int, reps: int, top_j: int, seed: int,
+                          limit_reps: int = 3000, dt: float = 1e-4) -> ExperimentReport:
+    """Ranked small-tree sizes / cn^2 vs simulated ranked excursion lengths.
+
+    The limit draws are censored at DEFAULT_T_CAP, read at call time.
+    """
     t0 = time.perf_counter()
-    s, sigma = _setup(p, n, cn, reps, seed)
+    s, sigma, params = _setup(p, n, cn, reps, seed)
+    params.update(top_j=top_j, dt=dt, limit_reps=limit_reps, t_cap=DEFAULT_T_CAP)
     forest_side = np.empty((reps, top_j))
     sums = np.empty(reps)
     for rep in range(reps):
@@ -166,37 +155,31 @@ def experiment_tree_sizes(
         padded[: min(top_j + 1, len(ranked))] = ranked[: top_j + 1]
         forest_side[rep] = padded[1 : top_j + 1] / cn**2
         sums[rep] = (n - ranked[0]) / cn**2
-
-    report = ExperimentReport(
-        "tree_sizes",
-        _params(p, {"n": n, "cn": cn, "reps": reps, "top_j": top_j, "seed": seed, "dt": dt,
-                    "limit_reps": limit_reps, "t_cap": t_cap}),
-    )
     if s.c == 1:
         # One tree and no small trees: there is nothing to compare with the limit.
-        report.stats = {"degenerate": True, "sigma": sigma}
-        report.passed = {"degenerate_sizes_zero": bool(np.all(forest_side == 0))}
+        stats = {"degenerate": True, "sigma": sigma}
+        passed = {"degenerate_sizes_zero": bool(np.all(forest_side == 0))}
     else:
         idx, _, limit_side = uncensored_limit_draws(
-            sigma, top_j, dt, limit_reps, seed, first=LIMIT_FIRST, t_cap=t_cap
+            sigma, top_j, dt, limit_reps, seed, first=LIMIT_FIRST, t_cap=DEFAULT_T_CAP
         )
         ks = [ks_two_sample(forest_side[:, j], limit_side[:, j]) for j in range(top_j)]
-        report.stats = {
+        stats = {
             "sigma": sigma,
             "ks_per_coordinate": ks,
             "censored_limit_reps": int(idx[-1]) + 1 - LIMIT_FIRST - limit_reps,
             "sum_statistic_mean": float(sums.mean()),
         }
         monotone = bool(np.all(np.diff(forest_side, axis=1) <= 0))
-        report.passed = {"ks_top1": ks[0] <= _KS_TOL, "sizes_weakly_decreasing": monotone}
-    report.runtime = time.perf_counter() - t0
-    return report
+        passed = {"ks_top1": ks[0] <= _KS_TOL, "sizes_weakly_decreasing": monotone}
+    return ExperimentReport("tree_sizes", params, stats, passed, time.perf_counter() - t0)
 
 
 def experiment_walk(p, n: int, cn: int, reps: int, seed: int) -> ExperimentReport:
     """Marginals of the rescaled coding walk against Normal(0, sigma^2 t)."""
     t0 = time.perf_counter()
-    s, sigma = _setup(p, n, cn, reps, seed)
+    s, sigma, params = _setup(p, n, cn, reps, seed)
+    params["t_points"] = list(_WALK_T)
     ks_idx = [math.floor(t * cn**2) for t in _WALK_T]
     kmax = ks_idx[-1]
     if kmax > n:
@@ -227,19 +210,14 @@ def experiment_walk(p, n: int, cn: int, reps: int, seed: int) -> ExperimentRepor
     corr = float(np.corrcoef(half[:, 0], half[:, 1])[0, 1]) if spread else None
     stats["increment_correlation"] = corr
     passed["increment_independence"] = spread and abs(corr) <= 3.0 / math.sqrt(reps)
-    report = ExperimentReport(
-        "walk",
-        _params(p, {"n": n, "cn": cn, "reps": reps, "t_points": list(_WALK_T), "seed": seed}),
-        stats=stats, passed=passed,
-    )
-    report.runtime = time.perf_counter() - t0
-    return report
+    return ExperimentReport("walk", params, stats, passed, time.perf_counter() - t0)
 
 
 def experiment_degrees(p, n: int, cn: int, reps: int, seed: int) -> ExperimentReport:
     """Per-tree empirical degree distributions against the global one."""
     t0 = time.perf_counter()
-    s, _ = _setup(p, n, cn, reps, seed)
+    s, _, params = _setup(p, n, cn, reps, seed)
+    params.update(degrees=list(_DEGREES), trees=list(_TREE_RANKS), delta=_DELTA)
     if s.c < _TREE_RANKS[-1]:
         raise ValueError(f"tree rank {_TREE_RANKS[-1]} exceeds the tree count c = {s.c}")
     emp = empirical(s)
@@ -263,32 +241,19 @@ def experiment_degrees(p, n: int, cn: int, reps: int, seed: int) -> ExperimentRe
         "sigma_sq_quantiles": {f"l={l}": float(np.quantile(v, _QUANTILE)) for l, v in s_diffs.items()},
         "sigma_sq_exceedance": {f"l={l}": float((v > _DELTA).mean()) for l, v in s_diffs.items()},
     }
-    report = ExperimentReport(
-        "degrees",
-        _params(p, {"n": n, "cn": cn, "reps": reps, "degrees": list(_DEGREES),
-                    "trees": list(_TREE_RANKS), "seed": seed, "delta": _DELTA}),
-        stats=stats,
-        passed={},
-    )
-    report.runtime = time.perf_counter() - t0
-    return report
+    return ExperimentReport("degrees", params, stats, {}, time.perf_counter() - t0)
 
 
 def experiment_largest_marked(p, n: int, cn: int, reps: int, seed: int) -> ExperimentReport:
     """Frequency of the marked tree being the largest tree, with a CI."""
     t0 = time.perf_counter()
-    s, _ = _setup(p, n, cn, reps, seed)
+    s, _, params = _setup(p, n, cn, reps, seed)
     hits = sum(walk_statistics(s, substream(seed, rep)).largest_is_marked for rep in range(reps))
     freq = hits / reps
     half_ci = 1.96 * math.sqrt(max(freq * (1 - freq), 1e-12) / reps)
-    report = ExperimentReport(
-        "largest_marked",
-        _params(p, {"n": n, "cn": cn, "reps": reps, "seed": seed}),
-        stats={"frequency": freq, "ci95_half_width": half_ci},
-        passed={"frequency": freq >= _LARGEST_MARKED_FREQ},
-    )
-    report.runtime = time.perf_counter() - t0
-    return report
+    stats = {"frequency": freq, "ci95_half_width": half_ci}
+    passed = {"frequency": freq >= _LARGEST_MARKED_FREQ}
+    return ExperimentReport("largest_marked", params, stats, passed, time.perf_counter() - t0)
 
 
 def experiment_concentration(p, n: int, cn: int, reps: int, seed: int) -> ExperimentReport:
@@ -301,7 +266,7 @@ def experiment_concentration(p, n: int, cn: int, reps: int, seed: int) -> Experi
     exp(-3 t^2 cn / 5) plus three binomial standard errors.
     """
     t0 = time.perf_counter()
-    s, _ = _setup(p, n, cn, reps, seed)
+    s, _, _ = _setup(p, n, cn, reps, seed)
     p_i = s.counts.get(_CONC_DEGREE, 0) / n
     base = (degree_vector(s) == _CONC_DEGREE).astype(np.int64)
     ms = np.arange(cn + 1, n + 1, dtype=float)
@@ -319,13 +284,7 @@ def experiment_concentration(p, n: int, cn: int, reps: int, seed: int) -> Experi
         stats["exceedance"][str(t)] = freq
         stats["bound"][str(t)] = bound
         passed[f"t={t}"] = freq <= bound + slack
-    report = ExperimentReport(
-        "concentration",
-        {"counts": {str(i): k for i, k in sorted(s.counts.items())},
-         "degree": _CONC_DEGREE, "thresholds": list(_CONC_THRESHOLDS), "reps": reps,
-         "seed": seed},
-        stats=stats,
-        passed=passed,
-    )
-    report.runtime = time.perf_counter() - t0
-    return report
+    params = {"counts": {str(i): k for i, k in sorted(s.counts.items())},
+              "degree": _CONC_DEGREE, "thresholds": list(_CONC_THRESHOLDS), "reps": reps,
+              "seed": seed}
+    return ExperimentReport("concentration", params, stats, passed, time.perf_counter() - t0)

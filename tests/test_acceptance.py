@@ -5,7 +5,6 @@ Each test records a single PASS/FAIL line (echoed in the terminal
 summary) before asserting.
 """
 
-import itertools
 import math
 import time
 
@@ -13,10 +12,10 @@ import numpy as np
 from scipy.integrate import quad
 
 from conftest import record_criterion
+from small_cases import all_plane_trees, four_point_holds, small_degree_sequences
 
 from planeforest import (
     CodingFunction,
-    PlaneTree,
     chi_square_uniform,
     contour_function,
     count_forests,
@@ -77,31 +76,10 @@ CN_SMALL_TREES = int(N_LARGE**CN_EXP_SMALL_TREES)  # 21
 SIGMA = math.sqrt(2.0)
 
 
-def _partitions(m, max_parts, smallest=1):
-    if m == 0:
-        yield ()
-        return
-    if max_parts == 0:
-        return
-    for first in range(smallest, m + 1):
-        for rest in _partitions(m - first, max_parts - 1, first):
-            yield (first,) + rest
-
-
-def _all_degree_sequences(max_n):
-    for n in range(1, max_n + 1):
-        for m in range(n):  # sum of degrees; c = n - m >= 1
-            for parts in _partitions(m, n):
-                counts = {0: n - len(parts)}
-                for part in parts:
-                    counts[part] = counts.get(part, 0) + 1
-                yield validate(counts)
-
-
 def test_criterion_01_codec_exhaustiveness():
     t0 = time.perf_counter()
     n_seq = n_walks = 0
-    for s in _all_degree_sequences(8):
+    for s in small_degree_sequences(8):
         n_seq += 1
         walks = list(enumerate_walks(s))
         expected_mcf = math.factorial(s.n)
@@ -331,17 +309,6 @@ def test_criterion_10_limit_law_internals():
     assert ok
 
 
-def _four_point_ok(dist, tol=1e-9):
-    n = len(dist)
-    for x, y, z, w in itertools.combinations(range(n), 4):
-        sums = sorted(
-            [dist[x, y] + dist[z, w], dist[x, z] + dist[y, w], dist[x, w] + dist[y, z]]
-        )
-        if sums[2] > sums[1] + tol:
-            return False
-    return True
-
-
 def _axioms_ok(dist, tol=1e-9):
     if np.abs(np.diag(dist)).max() > tol:
         return False
@@ -356,22 +323,6 @@ def _axioms_ok(dist, tol=1e-9):
     return True
 
 
-def _all_plane_trees(max_n):
-    def rec(prefix, balance, remaining):
-        if remaining == 0:
-            if balance == -1:
-                yield PlaneTree(tuple(prefix))
-            return
-        for d in range(remaining):
-            if balance + d - 1 >= 0 or remaining == 1:
-                prefix.append(d)
-                yield from rec(prefix, balance + d - 1, remaining - 1)
-                prefix.pop()
-
-    for n in range(1, max_n + 1):
-        yield from rec([], 0, n)
-
-
 def test_criterion_11_real_tree_properties():
     rng = rng_from_seed(SEED)
     snapshots_ok = True
@@ -381,20 +332,20 @@ def test_criterion_11_real_tree_properties():
         g = CodingFunction(np.linspace(0.0, 1.0, 65),
                            walk - np.minimum.accumulate(walk))
         snap = metric_snapshot(g, rng.uniform(0.0, 1.0, size=6))
-        if not (_axioms_ok(snap.dist) and _four_point_ok(snap.dist)):
+        if not (_axioms_ok(snap.dist) and four_point_holds(snap.dist)):
             snapshots_ok = False
             break
 
     trees_ok = True
     n_trees = 0
-    for t in _all_plane_trees(8):
+    for t in all_plane_trees(8):
         n_trees += 1
         ms = tree_graph_metric(t)
         snap = metric_snapshot(contour_function(t), first_visit_times(t))
         if np.abs(ms.dist - snap.dist).max() != 0.0:
             trees_ok = False
             break
-        if not (_axioms_ok(ms.dist) and _four_point_ok(ms.dist)):
+        if not (_axioms_ok(ms.dist) and four_point_holds(ms.dist)):
             trees_ok = False
             break
 

@@ -247,9 +247,11 @@ def test_missing_or_empty_arguments_are_invalid(capsys, argv):
     ("limit", "excursions", "--sigma", "nan", "--seed", "1"),
     ("limit", "excursions", "--sigma", "1", "--dt", "nan", "--seed", "1"),
     ("limit", "excursions", "--sigma", "1", "--dt", "2000", "--seed", "1"),
+    ("limit", "excursions", "--sigma", "1", "--dt", "1e-12", "--count", "1", "--seed", "1"),
     ("verify", "tau", "--n", "1000", "--cn-exp", "inf", "--reps", "2", "--seed", "1"),
     ("verify", "tau", "--n", "1000", "--cn-exp", "1e308", "--reps", "2", "--seed", "1"),
     ("verify", "tau", "--n", "1000", "--cn-exp", "nan", "--reps", "2", "--seed", "1"),
+    ("verify", "tau", "--n", "1000", "--cn", "0", "--reps", "2", "--seed", "1"),
 ], ids=["degrees_rank_above_c", "counts_not_a_mapping", "degseq_file_without_counts",
         "degseq_file_is_a_list", "tree_float_entries", "tree_negative_entry",
         "tree_nested_list", "bridge_float_entries", "bridge_nested_list",
@@ -259,7 +261,8 @@ def test_missing_or_empty_arguments_are_invalid(capsys, argv):
         "verify_profile_weight_null", "verify_top_negative", "concentration_cn_above_n_to_the_04",
         "verify_profile_weight_nan", "sample_tau_sigma_nan", "sample_tau_sigma_inf",
         "excursions_sigma_nan", "excursions_dt_nan", "excursions_dt_above_t_cap",
-        "verify_cn_exp_inf", "verify_cn_exp_overflow", "verify_cn_exp_nan"])
+        "excursions_dt_tiny", "verify_cn_exp_inf", "verify_cn_exp_overflow", "verify_cn_exp_nan",
+        "verify_cn_zero"])
 def test_malformed_inputs_are_invalid(tmp_path, capsys, argv):
     # "file:<text>" stands for the path of a file that holds <text>.
     for i, arg in enumerate(argv):
@@ -277,6 +280,8 @@ def test_malformed_inputs_are_invalid(tmp_path, capsys, argv):
         assert "dt > 0" in err
     if "--cn-exp" in argv:
         assert "--cn-exp" in err
+    if "--cn" in argv and int(argv[argv.index("--cn") + 1]) < 1:
+        assert "cn=" in err
 
 
 def test_readme_commands_run(tmp_path, monkeypatch, capsys):

@@ -31,6 +31,7 @@ from planeforest import (
 )
 from planeforest.errors import MalformedBridge, PlaneForestError, TooLarge
 from planeforest.forest_codec import enumerate_walks
+from small_cases import small_degree_sequences
 
 
 def test_plane_tree_validation():
@@ -150,28 +151,6 @@ def test_preimage_multiplicity_count():
     assert len(set(seen)) == len(seen)
     forests = set(f for f, _ in seen)
     assert len(forests) == count_forests(s)
-
-
-def small_degree_sequences(max_n):
-    """All degree sequences with n <= max_n, via partitions of n - c."""
-    for n in range(1, max_n + 1):
-        for m in range(n):  # m = sum of degrees = n - c, c >= 1
-            for parts in partitions(m, n):
-                counts = {0: n - len(parts)}
-                for part in parts:
-                    counts[part] = counts.get(part, 0) + 1
-                yield validate(counts)
-
-
-def partitions(m, max_parts, smallest=1):
-    if m == 0:
-        yield ()
-        return
-    if max_parts == 0:
-        return
-    for first in range(smallest, m + 1):
-        for rest in partitions(m - first, max_parts - 1, first):
-            yield (first,) + rest
 
 
 def test_codecs_round_trip_exhaustively_n_le_6():

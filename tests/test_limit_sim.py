@@ -82,6 +82,18 @@ def test_step_above_t_cap_is_rejected(dt):
         sample_limit_vector(1.0, 1, dt, rng_from_seed(1), t_cap=1000.0)
 
 
+def test_more_than_1e8_steps_are_rejected():
+    # dt = 1e-12 at t_cap = 1000 would take up to 1e15 steps, hours of work.
+    for call in (lambda dt: simulate_to_hit(1.0, dt, rng_from_seed(1), t_cap=1000.0),
+                 lambda dt: sample_limit_vector(1.0, 1, dt, rng_from_seed(1), t_cap=1000.0)):
+        with pytest.raises(DomainError, match="1e8 steps"):
+            call(1e-12)
+        with pytest.raises(DomainError, match="1e8 steps"):
+            call(9e-6)  # 1.1e8 steps
+    # 1e-5 is the smallest step allowed at t_cap = 1000.
+    assert limit_sim._step_count(1e-5, 1000.0) == 99_999_999
+
+
 @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, -math.inf])
 def test_sigma_must_be_positive_and_finite(sigma):
     calls = [

@@ -1,7 +1,5 @@
 """Coding functions, contour codings of plane trees, and metric snapshots."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -15,17 +13,7 @@ from planeforest import (
     metric_snapshot,
     tree_graph_metric,
 )
-
-
-def four_point_holds(dist, tol=1e-9):
-    n = len(dist)
-    for x, y, z, w in itertools.combinations(range(n), 4):
-        sums = sorted(
-            [dist[x, y] + dist[z, w], dist[x, z] + dist[y, w], dist[x, w] + dist[y, z]]
-        )
-        if sums[2] > sums[1] + tol:
-            return False
-    return True
+from small_cases import all_plane_trees, four_point_holds
 
 
 def test_contour_function_shape():
@@ -46,18 +34,6 @@ def test_first_visit_times_are_contour_times():
     depths = [0, 1, 2, 1]
     for u, tv in enumerate(fvt):
         assert g(tv) == depths[u]
-
-
-def all_plane_trees(max_n):
-    out, frontier = [], [((), 1)]  # (lex prefix, child slots still open)
-    while frontier:
-        lex, open_slots = frontier.pop()
-        if open_slots == 0:
-            out.append(PlaneTree(lex))
-            continue
-        for d in range(max_n - len(lex) - open_slots + 1):
-            frontier.append((lex + (d,), open_slots - 1 + d))
-    return out
 
 
 def euler_tour(t):

@@ -121,10 +121,11 @@ def test_experiment_tree_sizes_small_run():
     assert rep.passed["sizes_weakly_decreasing"]
 
 
-def test_experiment_tree_sizes_report_is_pinned():
+def test_experiment_tree_sizes_report_is_pinned(monkeypatch):
     # t_cap = 20 censors 5 of the 45 limit draws on substreams 10_000_000 + k.
+    monkeypatch.setattr(verify, "DEFAULT_T_CAP", 20.0)
     rep = experiment_tree_sizes(
-        geometric_profile(), 2000, 6, reps=20, top_j=2, seed=1, limit_reps=40, dt=1e-2, t_cap=20.0
+        geometric_profile(), 2000, 6, reps=20, top_j=2, seed=1, limit_reps=40, dt=1e-2
     )
     assert rep.stats == {
         "censored_limit_reps": 5,
@@ -212,6 +213,7 @@ def test_experiments_reject_zero_reps(run):
     lambda p, cn: experiment_concentration(p, 1000, cn, 10, seed=1),
 ], ids=["tau", "largest_marked", "degrees", "tree_sizes", "walk", "concentration"])
 def test_experiments_reject_cn_above_n_to_the_04(run):
-    # 1000^0.4 = 15.8 < 16
-    with pytest.raises(ValueError, match="supercritical"):
-        run(geometric_profile(), 16)
+    # 1000^0.4 = 15.8 < 16; cn = 0 is below the regime's floor of one tree.
+    for cn in (16, 0):
+        with pytest.raises(ValueError, match=f"cn={cn} outside the supercritical"):
+            run(geometric_profile(), cn)
