@@ -67,7 +67,6 @@ from .sampler import (
 )
 from .verify import (
     ExperimentReport,
-    chi_square_uniform,
     experiment_concentration,
     experiment_degrees,
     experiment_largest_marked,

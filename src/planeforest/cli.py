@@ -214,7 +214,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = ap.parse_args(argv)
         return args.func(args)
-    except (PlaneForestError, ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
+    except (PlaneForestError, ValueError, OverflowError, MemoryError, OSError,
+            json.JSONDecodeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

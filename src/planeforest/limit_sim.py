@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import CapExceeded, DomainError
 from .sampler import substream
 
 _CHUNK = 1 << 15
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 def _step_count(dt: float, t_cap: float) -> int:
@@ -124,10 +124,10 @@ def tau_density(t, sigma: float):
 
 
 def tau_cdf(t, sigma: float):
-    """CDF of tau(1/sigma): 2 * (1 - Phi(1 / (sigma sqrt(t))))."""
+    """CDF of tau(1/sigma): 2 * (1 - Phi(1 / (sigma sqrt(t)))) = erfc(1 / (sigma sqrt(2 t)))."""
     t = np.asarray(t, dtype=float)
     _check_sigma(sigma, t)
-    out = 2.0 * norm.sf(1.0 / (sigma * np.sqrt(t)))
+    out = _erfc(1.0 / (sigma * np.sqrt(2.0 * t)))
     return float(out) if out.ndim == 0 else out
 
 

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-import scipy.stats
 
 from .degseq import DegreeSequence, degree_vector, empirical, limit_sigma, make_degree_sequence
 from .errors import EmptySample
-from .limit_sim import tau_cdf, uncensored_limit_draws
+from .limit_sim import _erfc, tau_cdf, uncensored_limit_draws
 from .sampler import shuffle_degrees, substream, walk_statistics
 
 DEFAULT_T_CAP = 500.0
@@ -57,18 +56,15 @@ def ks_one_sample(samples: Sequence[float], cdf: Callable[[np.ndarray], np.ndarr
 
 
 def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> float:
+    """Exact two-sample KS distance: an integer count over lcm(len(a), len(b))."""
     if len(a) == 0 or len(b) == 0:
         raise EmptySample("no samples")
-    return float(scipy.stats.ks_2samp(a, b).statistic)
-
-
-def chi_square_uniform(counts: Sequence[int]) -> tuple[float, float]:
-    """Pearson chi-square of observed counts against the uniform law."""
-    counts = np.asarray(counts, dtype=float)
-    if counts.sum() == 0:
-        raise EmptySample("no counts")
-    res = scipy.stats.chisquare(counts)
-    return float(res.statistic), float(res.pvalue)
+    a, b = np.sort(np.asarray(a, dtype=float)), np.sort(np.asarray(b, dtype=float))
+    g = math.gcd(len(a), len(b))
+    x = np.concatenate((a, b))
+    diff = (np.searchsorted(a, x, side="right") * (len(b) // g)
+            - np.searchsorted(b, x, side="right") * (len(a) // g))
+    return int(np.abs(diff).max()) / (len(a) * len(b) // g)
 
 
 @dataclass
@@ -196,7 +192,7 @@ def experiment_walk(p, n: int, cn: int, reps: int, seed: int) -> ExperimentRepor
     passed: dict = {}
     for j, t in enumerate(_WALK_T):
         scale = sigma * math.sqrt(t)
-        ks = ks_one_sample(vals[:, j], lambda x: scipy.stats.norm.cdf(x, scale=scale))
+        ks = ks_one_sample(vals[:, j], lambda x: 0.5 * _erfc(-x / (scale * math.sqrt(2.0))))
         stats["ks"][str(t)] = ks
         stats["variance"][str(t)] = float(vals[:, j].var())
         passed[f"ks_t={t}"] = ks <= _WALK_KS_TOL

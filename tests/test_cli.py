@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def test_import_loads_no_scipy():
+    # The library runs on numpy alone; only the tests use scipy.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import planeforest.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_degseq_check_ok(capsys):
@@ -252,6 +265,10 @@ def test_missing_or_empty_arguments_are_invalid(capsys, argv):
     ("verify", "tau", "--n", "1000", "--cn-exp", "1e308", "--reps", "2", "--seed", "1"),
     ("verify", "tau", "--n", "1000", "--cn-exp", "nan", "--reps", "2", "--seed", "1"),
     ("verify", "tau", "--n", "1000", "--cn", "0", "--reps", "2", "--seed", "1"),
+    # 1e17 draws need 711 PiB, more than any 64-bit address space.
+    ("limit", "sample-tau", "--sigma", "1", "--count", "100000000000000000", "--seed", "1"),
+    ("verify", "sizes", "--n", "2000", "--cn", "6", "--reps", "5",
+     "--top", "100000000000000000", "--seed", "1"),
 ], ids=["degrees_rank_above_c", "counts_not_a_mapping", "degseq_file_without_counts",
         "degseq_file_is_a_list", "tree_float_entries", "tree_negative_entry",
         "tree_nested_list", "bridge_float_entries", "bridge_nested_list",
@@ -262,7 +279,7 @@ def test_missing_or_empty_arguments_are_invalid(capsys, argv):
         "verify_profile_weight_nan", "sample_tau_sigma_nan", "sample_tau_sigma_inf",
         "excursions_sigma_nan", "excursions_dt_nan", "excursions_dt_above_t_cap",
         "excursions_dt_tiny", "verify_cn_exp_inf", "verify_cn_exp_overflow", "verify_cn_exp_nan",
-        "verify_cn_zero"])
+        "verify_cn_zero", "sample_tau_count_huge", "verify_top_huge"])
 def test_malformed_inputs_are_invalid(tmp_path, capsys, argv):
     # "file:<text>" stands for the path of a file that holds <text>.
     for i, arg in enumerate(argv):

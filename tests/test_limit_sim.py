@@ -32,6 +32,14 @@ def test_tau_cdf_closed_form_values():
     assert tau_cdf(4.0, 1.0) == pytest.approx(2 * (1 - norm.cdf(0.5)))
     # scaling: tau for sigma is tau for 1 divided by sigma^2 ... in law
     assert tau_cdf(1.0, 2.0) == pytest.approx(tau_cdf(4.0, 1.0))
+    # erfc(1 / (sigma sqrt(2 t))) against 2 * norm.sf(1 / (sigma sqrt(t))).
+    t = np.geomspace(1e-4, 1e8, 241)
+    for sig in (0.5, 1.0, math.sqrt(2.0), 2.3):
+        oracle = 2 * norm.sf(1 / (sig * np.sqrt(t)))
+        assert np.abs(tau_cdf(t, sig) - oracle).max() <= 1e-15
+        scalar = tau_cdf(0.37, sig)
+        assert type(scalar) is float
+        assert abs(scalar - 2 * norm.sf(1 / (sig * math.sqrt(0.37)))) <= 1e-15
 
 
 def test_tau_density_matches_formula_and_cdf():
