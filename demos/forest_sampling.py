@@ -24,8 +24,7 @@ print(f"n = {N}, c_n = {CN}, sigma = {sigma:.4f}")
 
 small_mass = np.empty(REPS)
 largest_marked = 0
-for rep in range(REPS):
-    ws = pf.walk_statistics(s, pf.substream(SEED, rep))
+for rep, ws in enumerate(pf.replicates(s, SEED, REPS)):
     small_mass[rep] = (N - ws.ranked_sizes[0]) / CN**2
     largest_marked += ws.largest_is_marked
 

@@ -58,6 +58,7 @@ from .realtree import (
     tree_graph_metric,
 )
 from .sampler import (
+    replicates,
     rng_from_seed,
     sample_forest,
     sample_mcf,

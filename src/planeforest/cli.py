@@ -30,10 +30,10 @@ class _Parser(argparse.ArgumentParser):
 def _parse_profile(text: str) -> dict[int, float]:
     """'geometric:0.5' or an inline JSON object of degree -> weight."""
     if text.startswith("{"):
-        try:
-            return {int(i): float(w) for i, w in json.loads(text).items()}
-        except TypeError as exc:
-            raise ValueError(f"profile weights must be numbers: {exc}") from None
+        weights = json.loads(text)
+        if not all(type(w) in (int, float) for w in weights.values()):  # no bool, str or null
+            raise ValueError(f"profile weights must be numbers, got {text}")
+        return {int(i): float(w) for i, w in weights.items()}
     kind, _, arg = text.partition(":")
     if kind == "geometric":
         return degseq.geometric_profile(float(arg) if arg else 0.5)
@@ -62,7 +62,7 @@ def _cmd_degseq(args) -> int:
     if args.action == "check":
         s = degseq.validate(json.loads(args.counts))
     else:  # make
-        s = degseq.make_degree_sequence(_parse_profile(args.p), args.n, args.c, args.seed)
+        s = degseq.make_degree_sequence(_parse_profile(args.p), args.n, args.c)
     _write(args.out, s.to_json())
     return EXIT_OK
 
@@ -71,18 +71,14 @@ def _cmd_sample(args) -> int:
     _at_least_one(args, "count", "top")
     with open(args.degseq) as fh:
         s = degseq.DegreeSequence.from_json(fh.read())
-    lines = []
     if args.format == "csv":
-        lines.append(sampler.forest_summary_csv_header(args.top))
-    for rep in range(args.count):
-        rng = sampler.substream(args.seed, rep)
-        if args.format == "csv":
-            ws = sampler.walk_statistics(s, rng)
-            lines.append(sampler.forest_summary_csv_row(rep, ws, args.top))
-        elif args.kind == "mcf":
-            lines.append(sampler.sample_mcf(s, rng).to_json())
-        else:
-            lines.append(sampler.sample_forest(s, rng).to_json())
+        records = enumerate(sampler.replicates(s, args.seed, args.count))
+        lines = [sampler.forest_summary_csv_header(args.top)]
+        lines += (sampler.forest_summary_csv_row(rep, ws, args.top) for rep, ws in records)
+    else:
+        # sample_forest draws its rotation from the rng after the kernel.
+        draw = sampler.sample_mcf if args.kind == "mcf" else sampler.sample_forest
+        lines = [draw(s, sampler.substream(args.seed, rep)).to_json() for rep in range(args.count)]
     _write(args.out, "\n".join(lines))
     return EXIT_OK
 
@@ -91,19 +87,21 @@ def _cmd_codec(args) -> int:
     needed = {"encode": "tree", "split": "walk"}.get(args.action, "bridge")
     if getattr(args, needed) is None:
         raise ValueError(f"codec {args.action} needs --{needed}")
+    values = json.loads(getattr(args, needed))
+    if isinstance(values, list) and any(isinstance(v, bool) for v in values):
+        raise ValueError(f"--{needed} entries must be integers, not true/false")
     if args.action == "encode":
-        tree = forest_codec.PlaneTree(json.loads(args.tree))
+        tree = forest_codec.PlaneTree(values)
         _write(args.out, forest_codec.dfw_encode(tree).to_json())
     elif args.action == "decode":
-        bridge = lattice_paths.FirstPassageBridge(json.loads(args.bridge))
-        tree = forest_codec.dfw_decode(bridge)
+        tree = forest_codec.dfw_decode(lattice_paths.FirstPassageBridge(values))
         _write(args.out, json.dumps({"lex": list(tree.lex)}))
     elif args.action == "rotate":
-        bridge = lattice_paths.LatticeBridge(json.loads(args.bridge))
+        bridge = lattice_paths.LatticeBridge(values)
         k = args.k if args.k is not None else lattice_paths.rotation_index(bridge)
         _write(args.out, lattice_paths.cyclic_shift(bridge, k).to_json())
     else:  # split
-        walk = lattice_paths.CodingWalk(json.loads(args.walk))
+        walk = lattice_paths.CodingWalk(values)
         segs = lattice_paths.split_at_passage_times(walk)
         _write(args.out, json.dumps([list(seg.values) for seg in segs]))
     return EXIT_OK
@@ -162,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_deg.add_argument("--p", help="profile, e.g. geometric:0.5 (make)")
     p_deg.add_argument("--n", type=int)
     p_deg.add_argument("--c", type=int)
-    p_deg.add_argument("--seed", type=int, default=0)
     p_deg.add_argument("--out")
     p_deg.set_defaults(func=_cmd_degseq)
 

@@ -69,6 +69,8 @@ def validate(counts: Mapping[int, int]) -> DegreeSequence:
         raise NotAForest(f"counts must map degree -> count, got {type(counts).__name__}")
     clean = {}
     for i, k in counts.items():
+        if isinstance(k, bool):  # operator.index would read JSON true/false as 1/0
+            raise NotAForest(f"count {k!r} of degree {i!r} must be an integer")
         try:
             i = _as_degree(i)
             k = operator.index(k)

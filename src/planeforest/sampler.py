@@ -9,6 +9,7 @@ sample and deterministic given (degree sequence, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -120,6 +121,14 @@ def walk_statistics(s: DegreeSequence, rng: np.random.Generator) -> WalkStatisti
         tau_n=tau_n,
         largest_is_marked=bool(order[0] == s.c - 1),
     )
+
+
+def replicates(s: DegreeSequence, seed: int, reps: int) -> Iterator[WalkStatistics]:
+    """Replicates 0, ..., reps - 1 of run ``seed``: replicate i is the kernel on
+    ``substream(seed, i)``.  A caller's loop variable keeps the previous record's
+    O(n) arrays alive while the next is drawn; ``map`` over the records does not."""
+    for i in range(reps):
+        yield walk_statistics(s, substream(seed, i))
 
 
 def forest_summary_csv_header(top_j: int) -> str:

@@ -20,7 +20,7 @@ import numpy as np
 from .degseq import DegreeSequence, degree_vector, empirical, limit_sigma, make_degree_sequence
 from .errors import EmptySample
 from .limit_sim import _erfc, tau_cdf, uncensored_limit_draws
-from .sampler import shuffle_degrees, substream, walk_statistics
+from .sampler import replicates, shuffle_degrees, substream
 
 DEFAULT_T_CAP = 500.0
 LIMIT_FIRST = 10_000_000  # substream index of the first limit draw
@@ -116,12 +116,8 @@ def experiment_tau(p, n: int, cn: int, reps: int, seed: int) -> ExperimentReport
     """KS of (n - largest tree)/cn^2 and tau_n/cn^2 against the tau(1/sigma) CDF."""
     t0 = time.perf_counter()
     s, sigma, params = _setup(p, n, cn, reps, seed)
-    small_mass = np.empty(reps)
-    taus = np.empty(reps)
-    for rep in range(reps):
-        ws = walk_statistics(s, substream(seed, rep))
-        small_mass[rep] = (n - ws.sizes.max()) / cn**2
-        taus[rep] = ws.tau_n / cn**2
+    records = map(lambda ws: (n - ws.sizes.max(), ws.tau_n), replicates(s, seed, reps))
+    small_mass, taus = np.array(list(records)).T / cn**2
     if s.c == 1:
         stats = {"degenerate": True, "sigma": sigma}
         passed = {"degenerate_tau_zero": bool(np.all(taus == 0))}
@@ -143,14 +139,10 @@ def experiment_tree_sizes(p, n: int, cn: int, reps: int, top_j: int, seed: int,
     t0 = time.perf_counter()
     s, sigma, params = _setup(p, n, cn, reps, seed)
     params.update(top_j=top_j, dt=dt, limit_reps=limit_reps, t_cap=DEFAULT_T_CAP)
-    forest_side = np.empty((reps, top_j))
-    sums = np.empty(reps)
-    for rep in range(reps):
-        ranked = walk_statistics(s, substream(seed, rep)).ranked_sizes
-        padded = np.zeros(top_j + 1)
-        padded[: min(top_j + 1, len(ranked))] = ranked[: top_j + 1]
-        forest_side[rep] = padded[1 : top_j + 1] / cn**2
-        sums[rep] = (n - ranked[0]) / cn**2
+    ranked = np.array(list(map(lambda ws: ws.ranked_sizes, replicates(s, seed, reps))))
+    forest_side = np.zeros((reps, top_j))
+    forest_side[:, : s.c - 1] = ranked[:, 1 : top_j + 1] / cn**2
+    sums = (n - ranked[:, 0]) / cn**2
     if s.c == 1:
         # One tree and no small trees: there is nothing to compare with the limit.
         stats = {"degenerate": True, "sigma": sigma}
@@ -221,8 +213,7 @@ def experiment_degrees(p, n: int, cn: int, reps: int, seed: int) -> ExperimentRe
     global_sig = emp.second_moment
     p_diffs = {(i, l): np.empty(reps) for i in _DEGREES for l in _TREE_RANKS}
     s_diffs = {l: np.empty(reps) for l in _TREE_RANKS}
-    for rep in range(reps):
-        ws = walk_statistics(s, substream(seed, rep))
+    for rep, ws in enumerate(replicates(s, seed, reps)):
         for l in _TREE_RANKS:
             counts = ws.tree_degree_counts(l)
             size = int(ws.ranked_sizes[l - 1])
@@ -244,8 +235,7 @@ def experiment_largest_marked(p, n: int, cn: int, reps: int, seed: int) -> Exper
     """Frequency of the marked tree being the largest tree, with a CI."""
     t0 = time.perf_counter()
     s, _, params = _setup(p, n, cn, reps, seed)
-    hits = sum(walk_statistics(s, substream(seed, rep)).largest_is_marked for rep in range(reps))
-    freq = hits / reps
+    freq = sum(map(lambda ws: ws.largest_is_marked, replicates(s, seed, reps))) / reps
     half_ci = 1.96 * math.sqrt(max(freq * (1 - freq), 1e-12) / reps)
     stats = {"frequency": freq, "ci95_half_width": half_ci}
     passed = {"frequency": freq >= _LARGEST_MARKED_FREQ}

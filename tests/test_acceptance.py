@@ -29,12 +29,12 @@ from planeforest import (
     mcf_from_walk,
     mcf_preimages,
     metric_snapshot,
+    replicates,
     rng_from_seed,
     rotation_index,
     sample_forest,
     sample_mcf,
     sample_tau_exact,
-    substream,
     forest_to_mcf,
     tau_cdf,
     tau_density,
@@ -42,7 +42,6 @@ from planeforest import (
     uncensored_limit_draws,
     validate,
     walk_from_mcf,
-    walk_statistics,
 )
 from planeforest.forest_codec import (
     bridge_from_marked_tree,
@@ -193,10 +192,7 @@ def test_criterion_04_tau_law():
     cn = CN_SMALL_TREES
     s = make_degree_sequence(geometric_profile(), N_LARGE, cn, SEED)
     reps = 300
-    small_mass = np.empty(reps)
-    for rep in range(reps):
-        sizes = walk_statistics(s, substream(SEED, rep)).sizes
-        small_mass[rep] = (N_LARGE - sizes.max()) / cn**2
+    small_mass = np.array([(N_LARGE - ws.sizes.max()) / cn**2 for ws in replicates(s, SEED, reps)])
     ks = ks_one_sample(small_mass, lambda t: tau_cdf(np.asarray(t), SIGMA))
     elapsed = time.perf_counter() - t0
     ok = ks <= 0.12 and elapsed < 120.0

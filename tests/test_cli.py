@@ -49,7 +49,7 @@ def test_degseq_make_writes_file(tmp_path, capsys):
     out_file = tmp_path / "s.json"
     code, _ = run(
         capsys, "degseq", "make", "--p", "geometric:0.5", "--n", "500",
-        "--c", "8", "--seed", "3", "--out", str(out_file),
+        "--c", "8", "--out", str(out_file),
     )
     assert code == EXIT_OK
     obj = json.loads(out_file.read_text())
@@ -93,7 +93,11 @@ def test_sample_is_deterministic(tmp_path, capsys):
 # SHA-256 of `sample <kind> --degseq s.json --seed <seed>` output, where s.json
 # holds make_degree_sequence(geometric_profile(), 10_000, 25, seed=1); computed
 # with the tuple-by-tuple sampler and json.dumps encoder the array path replaced.
+# Kind "csv" is `sample forest ... --count 5 --format csv --top 3`, computed with
+# the per-replicate loop that sampler.replicates replaced.
 PINNED_SAMPLE_SHA256 = {
+    ("csv", 0): "f703cc464f341ae0cb7c5905eb3f46d79ca09c8a9823300dd5aff1e051d5a326",
+    ("csv", 1): "b55eef7f68f1f1098be04731011e9c584776eb9de2be8d785659bc8c80e61cda",
     ("forest", 0): "903df56edd3949052ebd03cef1f640036929893c27ee8efce2dc9c56ab61222f",
     ("forest", 1): "405d6087ff9be2af1805aa146a19b70c16a3abb566dfa826b147b4c1d99a4f1c",
     ("forest", 2): "286103d53a09b92e940e56196b64ad25a7bba456a6c52e65117caa7edcbe4430",
@@ -107,7 +111,8 @@ PINNED_SAMPLE_SHA256 = {
 def test_sample_json_bytes_are_pinned(tmp_path, kind, seed):
     ds, out = tmp_path / "s.json", tmp_path / "out.json"
     ds.write_text(make_degree_sequence(geometric_profile(), 10_000, 25, seed=1).to_json())
-    code = main(["sample", kind, "--degseq", str(ds), "--seed", str(seed), "--out", str(out)])
+    args = ["forest", "--count", "5", "--format", "csv", "--top", "3"] if kind == "csv" else [kind]
+    code = main(["sample", *args, "--degseq", str(ds), "--seed", str(seed), "--out", str(out)])
     assert code == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SAMPLE_SHA256[kind, seed]
 
@@ -269,6 +274,14 @@ def test_missing_or_empty_arguments_are_invalid(capsys, argv):
     ("limit", "sample-tau", "--sigma", "1", "--count", "100000000000000000", "--seed", "1"),
     ("verify", "sizes", "--n", "2000", "--cn", "6", "--reps", "5",
      "--top", "100000000000000000", "--seed", "1"),
+    # JSON true/false are not integers, and a string is not a weight.
+    ("degseq", "check", "--counts", '{"0": true, "2": false}'),
+    ("sample", "forest", "--degseq", 'file:{"counts": {"0": 3, "2": true}}', "--seed", "1"),
+    ("codec", "encode", "--tree", "[true, false]"),
+    ("codec", "decode", "--bridge", "[0, false, -1]"),
+    ("codec", "split", "--walk", "[0, true, false, -1]"),
+    ("degseq", "make", "--p", '{"0": true, "2": true}', "--n", "100", "--c", "4"),
+    ("verify", "tau", "--p", '{"0": "1", "2": "1"}', "--n", "1000", "--reps", "2", "--seed", "1"),
 ], ids=["degrees_rank_above_c", "counts_not_a_mapping", "degseq_file_without_counts",
         "degseq_file_is_a_list", "tree_float_entries", "tree_negative_entry",
         "tree_nested_list", "bridge_float_entries", "bridge_nested_list",
@@ -279,7 +292,9 @@ def test_missing_or_empty_arguments_are_invalid(capsys, argv):
         "verify_profile_weight_nan", "sample_tau_sigma_nan", "sample_tau_sigma_inf",
         "excursions_sigma_nan", "excursions_dt_nan", "excursions_dt_above_t_cap",
         "excursions_dt_tiny", "verify_cn_exp_inf", "verify_cn_exp_overflow", "verify_cn_exp_nan",
-        "verify_cn_zero", "sample_tau_count_huge", "verify_top_huge"])
+        "verify_cn_zero", "sample_tau_count_huge", "verify_top_huge", "counts_boolean",
+        "degseq_file_boolean_count", "tree_boolean_entries", "bridge_boolean_entries",
+        "walk_boolean_entries", "profile_weight_boolean", "profile_weight_string"])
 def test_malformed_inputs_are_invalid(tmp_path, capsys, argv):
     # "file:<text>" stands for the path of a file that holds <text>.
     for i, arg in enumerate(argv):

@@ -15,6 +15,7 @@ from planeforest import (
     count_mcf,
     make_degree_sequence,
     mcf_from_walk,
+    replicates,
     rng_from_seed,
     sample_forest,
     sample_mcf,
@@ -97,8 +98,11 @@ def test_array_kernel_matches_tuple_codec(s, seed):
 
 def test_walk_statistics_matches_full_decode():
     s = validate({0: 40, 1: 12, 2: 18, 3: 4, 5: 1})
-    for rep in range(25):
+    records = list(replicates(s, 5, 25))
+    assert len(records) == 25
+    for rep, record in enumerate(records):
         ws = walk_statistics(s, substream(5, rep))
+        assert record.sizes.tolist() == ws.sizes.tolist()
         assert ws.sizes.sum() == s.n
         assert ws.tau_n == ws.sizes[:-1].sum()
         m = mcf_from_walk(CodingWalk((0,) + tuple(int(x) for x in ws.walk)))
@@ -151,7 +155,7 @@ def test_tau_n_matches_hitting_time_law():
     law = _hitting_time_law(s, s.c - 1)
     assert sum(law) == 1
     reps = 40_000
-    taus = [walk_statistics(s, substream(21, rep)).tau_n for rep in range(reps)]
+    taus = [ws.tau_n for ws in replicates(s, 21, reps)]
     empirical_cdf = np.cumsum(np.bincount(taus, minlength=s.n + 1)) / reps
     exact_cdf = np.array([float(x) for x in itertools.accumulate(law)])
     # 1.36/sqrt(reps) is the 95% Kolmogorov band; it is conservative for
