@@ -8,6 +8,8 @@ Every report echoes the seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
 
@@ -46,12 +48,11 @@ def _at_least_one(args, *names):
             raise ValueError(f"--{name} must be at least 1, got {getattr(args, name)}")
 
 
-def _write(out: str | None, text: str):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+def _write(out: str | None, lines):
+    """Write each of ``lines`` as it comes, to the file ``out`` or to stdout."""
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        for line in lines:
+            print(line, file=fh)
 
 
 def _cmd_degseq(args) -> int:
@@ -63,7 +64,7 @@ def _cmd_degseq(args) -> int:
         s = degseq.validate(json.loads(args.counts))
     else:  # make
         s = degseq.make_degree_sequence(_parse_profile(args.p), args.n, args.c)
-    _write(args.out, s.to_json())
+    _write(args.out, [s.to_json()])
     return EXIT_OK
 
 
@@ -72,14 +73,14 @@ def _cmd_sample(args) -> int:
     with open(args.degseq) as fh:
         s = degseq.DegreeSequence.from_json(fh.read())
     if args.format == "csv":
-        records = enumerate(sampler.replicates(s, args.seed, args.count))
-        lines = [sampler.forest_summary_csv_header(args.top)]
-        lines += (sampler.forest_summary_csv_row(rep, ws, args.top) for rep, ws in records)
+        rows = map(sampler.forest_summary_csv_row, itertools.count(),
+                   sampler.replicates(s, args.seed, args.count), itertools.repeat(args.top))
+        lines = itertools.chain([sampler.forest_summary_csv_header(args.top)], rows)
     else:
         # sample_forest draws its rotation from the rng after the kernel.
         draw = sampler.sample_mcf if args.kind == "mcf" else sampler.sample_forest
-        lines = [draw(s, sampler.substream(args.seed, rep)).to_json() for rep in range(args.count)]
-    _write(args.out, "\n".join(lines))
+        lines = (draw(s, sampler.substream(args.seed, rep)).to_json() for rep in range(args.count))
+    _write(args.out, lines)
     return EXIT_OK
 
 
@@ -92,18 +93,18 @@ def _cmd_codec(args) -> int:
         raise ValueError(f"--{needed} entries must be integers, not true/false")
     if args.action == "encode":
         tree = forest_codec.PlaneTree(values)
-        _write(args.out, forest_codec.dfw_encode(tree).to_json())
+        _write(args.out, [forest_codec.dfw_encode(tree).to_json()])
     elif args.action == "decode":
         tree = forest_codec.dfw_decode(lattice_paths.FirstPassageBridge(values))
-        _write(args.out, json.dumps({"lex": list(tree.lex)}))
+        _write(args.out, [json.dumps({"lex": list(tree.lex)})])
     elif args.action == "rotate":
         bridge = lattice_paths.LatticeBridge(values)
         k = args.k if args.k is not None else lattice_paths.rotation_index(bridge)
-        _write(args.out, lattice_paths.cyclic_shift(bridge, k).to_json())
+        _write(args.out, [lattice_paths.cyclic_shift(bridge, k).to_json()])
     else:  # split
         walk = lattice_paths.CodingWalk(values)
         segs = lattice_paths.split_at_passage_times(walk)
-        _write(args.out, json.dumps([list(seg.values) for seg in segs]))
+        _write(args.out, [json.dumps([list(seg.values) for seg in segs])])
     return EXIT_OK
 
 
@@ -112,14 +113,13 @@ def _cmd_limit(args) -> int:
     if args.action == "sample-tau":
         rng = sampler.rng_from_seed(args.seed)
         samples = limit_sim.sample_tau_exact(args.sigma, rng, size=args.count)
-        _write(args.out, "tau\n" + "\n".join(f"{float(x):.12g}" for x in samples))
+        _write(args.out, itertools.chain(["tau"], (f"{float(x):.12g}" for x in samples)))
     else:  # excursions
         draws = limit_sim.uncensored_limit_draws(
             args.sigma, args.top, args.dt, args.count, args.seed
         )
-        records = [{"replicate": int(i), "seed": args.seed, "tau": tau, "lengths": list(lengths)}
-                   for i, tau, lengths in zip(*draws)]
-        _write(args.out, "\n".join(json.dumps(rec) for rec in records))
+        _write(args.out, (json.dumps({"replicate": int(i), "seed": args.seed, "tau": tau,
+                                      "lengths": list(lengths)}) for i, tau, lengths in zip(*draws)))
     return EXIT_OK
 
 
@@ -146,7 +146,7 @@ def _cmd_verify(args) -> int:
     else:
         run = getattr(verify, _EXPERIMENTS[args.experiment])
         report = run(p, args.n, cn, args.reps, args.seed)
-    _write(args.out, report.to_json())
+    _write(args.out, [report.to_json()])
     return EXIT_OK if report.ok else EXIT_CRITERION
 
 

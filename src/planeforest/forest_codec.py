@@ -107,14 +107,13 @@ class PlaneForest:
         return validate(counts)
 
     @classmethod
-    def _from_lex(cls, lex: np.ndarray, sizes: np.ndarray, walk: np.ndarray) -> "PlaneForest":
+    def _from_lex(cls, lex: np.ndarray, sizes: np.ndarray) -> "PlaneForest":
         """Forest of the consecutive slices of ``lex`` with the given sizes.
 
         All trees are checked in one pass over the array, against the same
         rules :class:`PlaneTree` applies node by node: integer degrees >= 0,
         and each tree's walk, relative to its start, stays >= 0 before its
-        last node and is exactly -1 there.  ``walk``, an int64 array as long
-        as ``lex``, is overwritten with the walk.
+        last node and is exactly -1 there.
         """
         lex, sizes = np.asarray(lex), np.asarray(sizes)
         if lex.dtype.kind not in "biu":
@@ -128,7 +127,7 @@ class PlaneForest:
         lex = lex.astype(np.int64, copy=False)
         if lex.min() < 0:
             raise MalformedBridge("lex sequence has a negative degree")
-        np.subtract(lex, 1, out=walk)
+        walk = lex - 1
         np.cumsum(walk, out=walk)
         ends = np.cumsum(sizes) - 1
         base = np.zeros(len(ends), dtype=np.int64)  # the walk just before each tree

@@ -48,6 +48,38 @@ def _rank_gaps(zeros, dt, top, starts, ends):
     return starts[order], ends[order]
 
 
+def _chunks(x: float, dt: float, rng: np.random.Generator, t_cap: float):
+    """B chunk by chunk until it first reaches -x: yields (steps, chunk, low, tau).
+
+    ``chunk`` holds B at steps + 1, ..., steps + len(chunk) and ``low`` is its
+    minimum.  Each chunk is drawn, scaled, summed and shifted in one reused
+    buffer, so it holds only until the next is drawn.  tau is None until the
+    chunk that first reaches -x; that chunk is cut after the crossing step,
+    tau is interpolated linearly inside it, and the stream ends.  Raises
+    CapExceeded after int(t_cap / dt) steps.
+    """
+    max_steps = _step_count(dt, t_cap)
+    sqdt = math.sqrt(dt)
+    buf = np.empty(min(_CHUNK, max_steps))
+    last = 0.0
+    for steps in range(0, max_steps, len(buf)):
+        block = buf[: max_steps - steps]
+        rng.standard_normal(out=block)
+        block *= sqdt
+        np.cumsum(block, out=block)
+        block += last
+        low = block.min()
+        if low <= -x:
+            i = int(np.argmax(block <= -x))
+            prev = block[i - 1] if i else last
+            frac = (prev + x) / (prev - block[i])
+            yield steps, block[: i + 1], block[i], (steps + i + frac) * dt
+            return
+        last = block[-1]
+        yield steps, block, low, None
+    raise CapExceeded(f"no passage of -{x} before t_cap={t_cap}")
+
+
 def simulate_to_hit(
     x: float,
     dt: float,
@@ -63,26 +95,11 @@ def simulate_to_hit(
     """
     if not x > 0:  # NaN included
         raise DomainError(f"level x must be positive, got x={x}")
-    max_steps = _step_count(dt, t_cap)
-    sqdt = math.sqrt(dt)
     chunks = [np.zeros(1)]
-    steps = 0
-    while steps < max_steps:
-        # The same chunks as sample_limit_vector, so the path has the same bits.
-        block = rng.standard_normal(min(_CHUNK, max_steps - steps))
-        block *= sqdt
-        np.cumsum(block, out=block)
-        block += chunks[-1][-1]
-        below = block <= -x
-        if below.any():
-            i = int(np.argmax(below))
-            prev = block[i - 1] if i else chunks[-1][-1]
-            frac = (prev + x) / (prev - block[i])
-            chunks.append(block[: i + 1])
-            return np.concatenate(chunks), (steps + i + frac) * dt
-        chunks.append(block)
-        steps += len(block)
-    raise CapExceeded(f"no passage of -{x} before t_cap={t_cap}")
+    for _, block, _, tau in _chunks(x, dt, rng, t_cap):
+        chunks.append(block.copy())
+        if tau is not None:
+            return np.concatenate(chunks), tau
 
 
 def reflect_at_min(values) -> np.ndarray:
@@ -148,58 +165,34 @@ def sample_limit_vector(
     """Simulate the limit triple's excursion data at level x = 1/sigma.
 
     Returns (tau, lengths): tau(1/sigma) and the top_j ranked excursion
-    lengths (zero-padded).  B runs chunk by chunk until it first reaches
-    -x.  Each chunk is drawn, scaled, summed and shifted in one reused
-    buffer, so the memory is one chunk however long the draw.  Across
-    chunks the scan carries the last value, the running minimum and the
+    lengths (zero-padded).  B comes from the chunk stream that
+    simulate_to_hit keeps whole, so the memory is one chunk however long
+    the draw.  Across chunks the scan carries the running minimum and the
     index of the last running-minimum record; a chunk that stays above the
     minimum has neither a record nor the crossing.  Only the top_j longest
-    excursions are kept, as (start, end) step indices.  Raises CapExceeded
-    once the simulated time passes t_cap.  simulate_to_hit and
-    ranked_excursions are the whole-path reference for the same bits.
+    excursions are kept, as (start, end) step indices.  Raises CapExceeded once the simulated time passes
+    t_cap.  simulate_to_hit and ranked_excursions are the whole-path
+    reference for the same bits.
     """
     _check_sigma(sigma)
     if top_j < 1:
         raise DomainError(f"need top_j >= 1, got top_j={top_j}")
-    max_steps = _step_count(dt, t_cap)
-    x = 1.0 / sigma
-    sqdt = math.sqrt(dt)
-    buf = np.empty(min(_CHUNK, max_steps))
-    mins = np.empty_like(buf)
     starts = ends = np.empty(0, dtype=np.int64)
-    last = run_min = 0.0
-    last_rec = steps = 0
-    while True:
-        m = min(_CHUNK, max_steps - steps)
-        if m <= 0:
-            raise CapExceeded(f"no passage of -{x} before t_cap={t_cap}")
-        block = buf[:m]
-        rng.standard_normal(out=block)
-        block *= sqdt
-        np.cumsum(block, out=block)
-        block += last
-        low = block.min()
-        if low <= run_min:
-            hit = low <= -x
-            if hit:
-                i = int(np.argmax(block <= -x))
-                prev = block[i - 1] if i else last
-                # Linear interpolation of the crossing inside the last step.
-                frac = (prev + x) / (prev - block[i])
-                block = block[: i + 1]
-            run = np.minimum.accumulate(block, out=mins[: len(block)])
-            np.minimum(run, run_min, out=run)
-            zeros = np.flatnonzero(block <= run)
-            zeros += steps + 1
-            starts, ends = _rank_gaps(np.concatenate(([last_rec], zeros)), dt, top_j, starts, ends)
-            if hit:
-                lengths = np.zeros(top_j)
-                lengths[: len(starts)] = ends * dt - starts * dt
-                return (steps + i + frac) * dt, lengths
-            last_rec = int(zeros[-1])
-            run_min = min(run_min, low)
-        last = block[-1]
-        steps += m
+    run_min, last_rec = 0.0, 0
+    for steps, block, low, tau in _chunks(1.0 / sigma, dt, rng, t_cap):
+        if low > run_min:
+            continue
+        run = np.minimum.accumulate(block)
+        np.minimum(run, run_min, out=run)
+        zeros = np.flatnonzero(block <= run)
+        zeros += steps + 1
+        starts, ends = _rank_gaps(np.concatenate(([last_rec], zeros)), dt, top_j, starts, ends)
+        if tau is not None:
+            lengths = np.zeros(top_j)
+            lengths[: len(starts)] = ends * dt - starts * dt
+            return tau, lengths
+        last_rec = int(zeros[-1])
+        run_min = min(run_min, low)
 
 
 def uncensored_limit_draws(

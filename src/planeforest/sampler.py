@@ -39,18 +39,15 @@ def sample_mcf(s: DegreeSequence, rng: np.random.Generator) -> MarkedCyclicFores
     the first c-1 trees are its slices at the walk's passage times.  The
     marked tree is the last slice, of m nodes, rolled left by r, where r - 1
     is the first argmin of the walk over it (the rotation lemma); its mark
-    is lex position m - r + 1.  The roll happens in place, and the whole
-    array is then checked once as a forest.
+    is lex position m - r + 1.  The roll is written back into the vector,
+    and the whole array is then checked once as a forest.
     """
     ws = walk_statistics(s, rng)
-    lex, walk, n, m = ws.perm, ws.walk, s.n, int(ws.sizes[-1])
-    r = int(np.argmin(walk[n - m :])) + 1
-    # The walk is rewritten by the check below, so its storage holds the copy.
-    last = walk[:m]
-    last[:] = lex[n - m :]
-    lex[n - m : n - r] = last[r:]
-    lex[n - r :] = last[:r]
-    forest = PlaneForest._from_lex(lex, ws.sizes, walk)
+    lex, sizes, n, m = ws.perm, ws.sizes, s.n, int(ws.sizes[-1])
+    r = int(np.argmin(ws.walk[n - m :])) + 1
+    del ws  # frees the walk before the check below makes its own
+    lex[n - m :] = np.roll(lex[n - m :], -r)
+    forest = PlaneForest._from_lex(lex, sizes)
     return MarkedCyclicForest(forest, (s.c - 1, m - r + 1))
 
 

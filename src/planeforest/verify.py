@@ -213,10 +213,11 @@ def experiment_degrees(p, n: int, cn: int, reps: int, seed: int) -> ExperimentRe
     global_sig = emp.second_moment
     p_diffs = {(i, l): np.empty(reps) for i in _DEGREES for l in _TREE_RANKS}
     s_diffs = {l: np.empty(reps) for l in _TREE_RANKS}
-    for rep, ws in enumerate(replicates(s, seed, reps)):
-        for l in _TREE_RANKS:
-            counts = ws.tree_degree_counts(l)
-            size = int(ws.ranked_sizes[l - 1])
+    # Each record is read down to its ranked trees before the next is drawn.
+    ranked = map(lambda ws: [(l, ws.tree_degree_counts(l), int(ws.ranked_sizes[l - 1]))
+                             for l in _TREE_RANKS], replicates(s, seed, reps))
+    for rep, trees in enumerate(ranked):
+        for l, counts, size in trees:
             for i in _DEGREES:
                 pi = counts[i] / size if i < len(counts) else 0.0
                 p_diffs[(i, l)][rep] = abs(pi - global_p[i])

@@ -7,12 +7,14 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from planeforest.cli import EXIT_CRITERION, EXIT_INVALID, EXIT_OK, main
 from planeforest.degseq import geometric_profile, make_degree_sequence
+from planeforest.sampler import substream, walk_statistics
 
 
 def run(capsys, *argv):
@@ -115,6 +117,48 @@ def test_sample_json_bytes_are_pinned(tmp_path, kind, seed):
     code = main(["sample", *args, "--degseq", str(ds), "--seed", str(seed), "--out", str(out)])
     assert code == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SAMPLE_SHA256[kind, seed]
+
+
+def _traced_peak(call):
+    """tracemalloc's peak, in bytes, while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command, n, c", [
+    ("verify degrees", 200_000, 21),
+    ("sample forest --format csv", 1_000_000, 125),
+])
+def test_replicate_loops_hold_one_record(tmp_path, command, n, c):
+    # Each replicate's O(n) arrays are freed before the next is drawn, so
+    # three replicates peak no higher than one kernel call.
+    s = make_degree_sequence(geometric_profile(), n, c, seed=1)
+    ds, out = tmp_path / "s.json", tmp_path / "out"
+    ds.write_text(s.to_json())
+    args = ["--degseq", str(ds), "--count", "3"] if command.startswith("sample") else [
+        "--n", str(n), "--cn", str(c), "--reps", "3"]
+    argv = [*command.split(), *args, "--seed", "1", "--out", str(out)]
+    assert main(argv) in (EXIT_OK, EXIT_CRITERION)  # warm-up: first-call allocations
+    peak = _traced_peak(lambda: main(argv))
+    one = _traced_peak(lambda: walk_statistics(s, substream(1, 0)))
+    assert peak <= 1.1 * one
+
+
+def test_sample_writes_each_record_as_it_is_drawn(tmp_path):
+    # Twenty forests at n = 2e5 peak at little more than one: the text of
+    # each is written before the next is drawn.
+    ds = tmp_path / "s.json"
+    ds.write_text(make_degree_sequence(geometric_profile(), 200_000, 21, seed=1).to_json())
+    argv = lambda count: ["sample", "forest", "--degseq", str(ds), "--seed", "1",
+                          "--count", count, "--out", str(tmp_path / count)]
+    assert main(argv("1")) == EXIT_OK  # warm-up: first-call allocations
+    one, twenty = (_traced_peak(lambda: main(argv(count))) for count in ("1", "20"))
+    assert (tmp_path / "20").read_text().count("\n") == 20
+    assert twenty <= 1.5 * one
 
 
 def test_codec_encode_decode_round_trip(capsys):

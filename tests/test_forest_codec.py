@@ -206,7 +206,7 @@ def test_forest_from_json_rejects_malformed_json(text):
 
 
 def _whole_forest(lex, sizes):
-    return PlaneForest._from_lex(lex, sizes, np.empty(len(lex), dtype=np.int64))
+    return PlaneForest._from_lex(lex, sizes)
 
 
 def _tree_by_tree(lex, sizes):
