@@ -32,10 +32,7 @@ class _Parser(argparse.ArgumentParser):
 def _parse_profile(text: str) -> dict[int, float]:
     """'geometric:0.5' or an inline JSON object of degree -> weight."""
     if text.startswith("{"):
-        weights = json.loads(text)
-        if not all(type(w) in (int, float) for w in weights.values()):  # no bool, str or null
-            raise ValueError(f"profile weights must be numbers, got {text}")
-        return {int(i): float(w) for i, w in weights.items()}
+        return degseq.profile_weights(degseq.loads(text))
     kind, _, arg = text.partition(":")
     if kind == "geometric":
         return degseq.geometric_profile(float(arg) if arg else 0.5)
@@ -61,7 +58,7 @@ def _cmd_degseq(args) -> int:
     if missing:
         raise ValueError(f"degseq {args.action} needs {', '.join(missing)}")
     if args.action == "check":
-        s = degseq.validate(json.loads(args.counts))
+        s = degseq.validate(degseq.loads(args.counts))
     else:  # make
         s = degseq.make_degree_sequence(_parse_profile(args.p), args.n, args.c)
     _write(args.out, [s.to_json()])

@@ -11,13 +11,14 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .errors import EmptySequence, Infeasible, NotAForest
+
+_GEOMETRIC_MAX_DEGREE = 64
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,7 @@ class DegreeSequence:
 
     @staticmethod
     def from_json(text: str) -> "DegreeSequence":
-        obj = json.loads(text)
+        obj = loads(text)
         if not isinstance(obj, dict) or "counts" not in obj:
             raise NotAForest('degree-sequence JSON must be an object with a "counts" map')
         return validate(obj["counts"])
@@ -58,28 +59,64 @@ class EmpiricalDist:
         object.__setattr__(self, "probs", dict(self.probs))
 
 
-def _as_degree(i) -> int:
-    """An integer degree; JSON object keys are strings."""
-    return int(i) if isinstance(i, str) else operator.index(i)
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ValueError("a JSON object names the same key twice")
+    return obj
+
+
+def loads(text: str):
+    """json.loads, except that an object naming a key twice raises ValueError."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
+def _count(i: int, k) -> int:
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+        raise ValueError(f"count of degree {i} must be an integer >= 0, got {k!r}")
+    return int(k)
+
+
+def _weight(i: int, w) -> float:
+    if isinstance(w, bool) or not isinstance(w, numbers.Real) or not math.isfinite(w):
+        raise ValueError(f"weight of degree {i} must be a finite number, got {w!r}")
+    return float(w)
+
+
+def _degree_map(m, value, error: type[Exception]) -> dict:
+    """{degree: value(degree, v)} of the degree-keyed mapping ``m``, in its order.
+
+    A degree is a non-bool integer >= 0 or its canonical decimal string ("01"
+    is not one), named once.  Any other key, or a value that ``value``
+    rejects with ValueError, raises ``error``.
+    """
+    if not isinstance(m, Mapping):
+        raise error(f"expected a map of degree -> value, got {type(m).__name__}")
+    out = {}
+    try:
+        for key, v in m.items():
+            if isinstance(key, str) and key.isascii() and key.isdigit() and str(int(key)) == key:
+                i = int(key)
+            elif isinstance(key, numbers.Integral) and not isinstance(key, bool) and key >= 0:
+                i = int(key)
+            else:
+                raise ValueError(f"degree {key!r} is not an integer >= 0 or its canonical string")
+            if i in out:
+                raise ValueError(f"degree {i} is named twice")
+            out[i] = value(i, v)
+    except ValueError as exc:
+        raise error(str(exc)) from None
+    return out
+
+
+def profile_weights(p: Mapping) -> dict[int, float]:
+    """The profile ``p`` as {degree: weight}; each weight must be a finite number."""
+    return _degree_map(p, _weight, ValueError)
 
 
 def validate(counts: Mapping[int, int]) -> DegreeSequence:
     """Check that ``counts`` is the degree sequence of some plane forest."""
-    if not isinstance(counts, Mapping):
-        raise NotAForest(f"counts must map degree -> count, got {type(counts).__name__}")
-    clean = {}
-    for i, k in counts.items():
-        if isinstance(k, bool):  # operator.index would read JSON true/false as 1/0
-            raise NotAForest(f"count {k!r} of degree {i!r} must be an integer")
-        try:
-            i = _as_degree(i)
-            k = operator.index(k)
-        except (TypeError, ValueError):
-            raise NotAForest(f"degree {i!r} and its count {k!r} must be integers") from None
-        if i < 0 or k < 0:
-            raise NotAForest(f"negative entry: degree {i} count {k}")
-        if k > 0:
-            clean[i] = k
+    clean = {i: k for i, k in _degree_map(counts, _count, NotAForest).items() if k > 0}
     n = sum(clean.values())
     if n == 0:
         raise EmptySequence("degree sequence has no nodes")
@@ -116,12 +153,8 @@ def _swap_budget(n: int) -> int:
     return 4 * math.isqrt(n) + 16
 
 
-def make_degree_sequence(
-    p: Mapping[int, float] | Iterable[float],
-    n: int,
-    c_target: int,
-    seed: int | None = None,
-) -> DegreeSequence:
+def make_degree_sequence(p: Mapping[int, float], n: int, c_target: int,
+                         seed: int | None = None) -> DegreeSequence:
     """Build a degree sequence of size n with c(s) = c_target close to n*p.
 
     Rule: round n*p_i, repair the total node count through degree-1 nodes
@@ -130,18 +163,10 @@ def make_degree_sequence(
     degree-1 node is left the smallest degree >= 2 is lowered by one.  The
     rule is deterministic; ``seed`` is accepted for interface symmetry.
     The swap budget is O(sqrt(n)), which keeps the result L2-close to p.
+    ``p`` maps each degree to its weight, as ``profile_weights`` reads it.
     """
     del seed
-    weights = {}
-    for i, w in p.items() if isinstance(p, Mapping) else enumerate(p):
-        try:
-            i = _as_degree(i)
-        except (TypeError, ValueError):
-            raise ValueError(f"degree {i!r} must be an integer") from None
-        if not isinstance(w, numbers.Real) or not math.isfinite(w):
-            raise ValueError(f"weight of degree {i} must be a finite number, got {w!r}")
-        if w > 0:
-            weights[i] = float(w)
+    weights = {i: w for i, w in profile_weights(p).items() if w > 0}
     total_w = sum(weights.values())
     if total_w <= 0:
         raise ValueError("p must have positive mass")
@@ -191,7 +216,7 @@ def make_degree_sequence(
     return validate(counts)
 
 
-def geometric_profile(ratio: float = 0.5, max_degree: int = 64) -> dict[int, float]:
-    """Geometric offspring weights p_i ~ ratio^(i+1); mean 1 at ratio=1/2."""
-    return {i: (1 - ratio) * ratio**i for i in range(max_degree + 1)}
+def geometric_profile(ratio: float = 0.5) -> dict[int, float]:
+    """Geometric offspring weights p_i ~ ratio^(i+1) for degrees up to 64; mean 1 at ratio=1/2."""
+    return {i: (1 - ratio) * ratio**i for i in range(_GEOMETRIC_MAX_DEGREE + 1)}
 

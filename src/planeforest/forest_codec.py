@@ -154,6 +154,8 @@ class PlaneForest:
         obj = json.loads(text)
         if not isinstance(obj, dict) or not isinstance(obj.get("trees"), list):
             raise MalformedBridge('forest JSON must be an object with a "trees" list')
+        if any(isinstance(d, bool) for t in obj["trees"] if isinstance(t, list) for d in t):
+            raise MalformedBridge("lex entries must be integer degrees, not true/false")
         return PlaneForest(tuple(map(PlaneTree, obj["trees"])))
 
 

@@ -8,6 +8,7 @@ the shift at the first global minimum.
 
 from __future__ import annotations
 
+import json
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -44,8 +45,6 @@ class LatticePath:
         return tuple(v[i + 1] - v[i] for i in range(len(v) - 1))
 
     def to_json(self) -> str:
-        import json
-
         return json.dumps(list(self.values))
 
 

@@ -17,6 +17,7 @@ from .errors import CapExceeded, DomainError
 from .sampler import substream
 
 _CHUNK = 1 << 15
+T_CAP = 1000.0  # default censoring time of every limit-side draw
 _erfc = np.vectorize(math.erfc, otypes=[float])
 
 
@@ -80,12 +81,8 @@ def _chunks(x: float, dt: float, rng: np.random.Generator, t_cap: float):
     raise CapExceeded(f"no passage of -{x} before t_cap={t_cap}")
 
 
-def simulate_to_hit(
-    x: float,
-    dt: float,
-    rng: np.random.Generator,
-    t_cap: float = 1000.0,
-) -> tuple[np.ndarray, float]:
+def simulate_to_hit(x: float, dt: float, rng: np.random.Generator,
+                    t_cap: float = T_CAP) -> tuple[np.ndarray, float]:
     """Run B until it first reaches -x; tau is interpolated at the crossing.
 
     Returns (values, tau): B at steps 0, dt, 2 dt, ..., starting at 0 and
@@ -155,13 +152,8 @@ def sample_tau_exact(sigma: float, rng: np.random.Generator, size: int | None = 
     return 1.0 / (sigma * z) ** 2
 
 
-def sample_limit_vector(
-    sigma: float,
-    top_j: int,
-    dt: float,
-    rng: np.random.Generator,
-    t_cap: float = 1000.0,
-) -> tuple[float, np.ndarray]:
+def sample_limit_vector(sigma: float, top_j: int, dt: float, rng: np.random.Generator,
+                        t_cap: float = T_CAP) -> tuple[float, np.ndarray]:
     """Simulate the limit triple's excursion data at level x = 1/sigma.
 
     Returns (tau, lengths): tau(1/sigma) and the top_j ranked excursion
@@ -195,15 +187,8 @@ def sample_limit_vector(
         run_min = min(run_min, low)
 
 
-def uncensored_limit_draws(
-    sigma: float,
-    top_j: int,
-    dt: float,
-    count: int,
-    seed: int,
-    first: int = 0,
-    t_cap: float = 1000.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def uncensored_limit_draws(sigma: float, top_j: int, dt: float, count: int, seed: int,
+                           first: int = 0, t_cap: float = T_CAP) -> tuple[np.ndarray, ...]:
     """The first ``count`` uncensored sample_limit_vector draws.
 
     The draws run on substreams first, first + 1, ... of ``seed``; one that

@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -82,16 +82,7 @@ class ExperimentReport:
         return all(self.passed.values())
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "params": self.params,
-                "stats": self.stats,
-                "passed": self.passed,
-                "runtime": round(self.runtime, 3),
-            },
-            sort_keys=True,
-        )
+        return json.dumps({**asdict(self), "runtime": round(self.runtime, 3)}, sort_keys=True)
 
 
 def _setup(p, n: int, cn: int, reps: int, seed: int) -> tuple[DegreeSequence, float, dict]:
@@ -104,7 +95,7 @@ def _setup(p, n: int, cn: int, reps: int, seed: int) -> tuple[DegreeSequence, fl
     if not 1 <= cn <= n**0.4:
         raise ValueError(f"cn={cn} outside the supercritical regime (1 <= cn <= n^0.4)")
     s = make_degree_sequence(p, n, cn, seed)
-    p = {str(i): w for i, w in sorted(dict(p).items())} if isinstance(p, Mapping) else list(p)
+    p = {str(i): w for i, w in p.items()}  # to_json sorts the keys
     return s, limit_sigma(s), {"p": p, "n": n, "cn": cn, "reps": reps, "seed": seed}
 
 

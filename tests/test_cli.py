@@ -326,6 +326,14 @@ def test_missing_or_empty_arguments_are_invalid(capsys, argv):
     ("codec", "split", "--walk", "[0, true, false, -1]"),
     ("degseq", "make", "--p", '{"0": true, "2": true}', "--n", "100", "--c", "4"),
     ("verify", "tau", "--p", '{"0": "1", "2": "1"}', "--n", "1000", "--reps", "2", "--seed", "1"),
+    # A degree is an integer or its canonical decimal string, named once.
+    ("degseq", "check", "--counts", '{"0": 3, "1": 5, "01": 2}'),
+    ("degseq", "check", "--counts", '{"0": 12, "1_0": 1}'),
+    ("degseq", "check", "--counts", '{" 0": 3, "1": 1}'),
+    ("degseq", "check", "--counts", '{"0": 3, "0": 5, "1": 1}'),
+    ("degseq", "make", "--p", '{"0": 0.5, "0": 0.5, "2": 0.5}', "--n", "100", "--c", "4"),
+    ("degseq", "make", "--p", '{"00": 0.5, "2": 0.5}', "--n", "100", "--c", "4"),
+    ("sample", "forest", "--degseq", 'file:{"counts": {"0": 4, "0": 5, "2": 2}}', "--seed", "1"),
 ], ids=["degrees_rank_above_c", "counts_not_a_mapping", "degseq_file_without_counts",
         "degseq_file_is_a_list", "tree_float_entries", "tree_negative_entry",
         "tree_nested_list", "bridge_float_entries", "bridge_nested_list",
@@ -338,7 +346,10 @@ def test_missing_or_empty_arguments_are_invalid(capsys, argv):
         "excursions_dt_tiny", "verify_cn_exp_inf", "verify_cn_exp_overflow", "verify_cn_exp_nan",
         "verify_cn_zero", "sample_tau_count_huge", "verify_top_huge", "counts_boolean",
         "degseq_file_boolean_count", "tree_boolean_entries", "bridge_boolean_entries",
-        "walk_boolean_entries", "profile_weight_boolean", "profile_weight_string"])
+        "walk_boolean_entries", "profile_weight_boolean", "profile_weight_string",
+        "counts_leading_zero_key", "counts_underscore_key", "counts_space_key",
+        "counts_repeated_json_key", "profile_repeated_json_key", "profile_leading_zero_key",
+        "degseq_file_repeated_key"])
 def test_malformed_inputs_are_invalid(tmp_path, capsys, argv):
     # "file:<text>" stands for the path of a file that holds <text>.
     for i, arg in enumerate(argv):

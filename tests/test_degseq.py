@@ -56,6 +56,23 @@ def test_validate_rejects_bad_input():
         validate({"0": 2, "1.5": 1})
 
 
+@pytest.mark.parametrize("counts", [
+    {0: 3, "0": 4},  # one degree named twice
+    {True: 3, 0: 4},  # a bool is not a degree
+    {"0": 3, "1": 5, "01": 2},  # only the canonical decimal string names a degree
+    {"0": 12, "1_0": 1},
+    {" 0": 3},
+])
+def test_validate_rejects_non_canonical_or_repeated_degrees(counts):
+    with pytest.raises(NotAForest, match="degree"):
+        validate(counts)
+
+
+def test_from_json_rejects_a_repeated_key():
+    with pytest.raises(ValueError, match="twice"):
+        DegreeSequence.from_json('{"counts": {"0": 3, "0": 5, "1": 1}}')
+
+
 def test_validate_takes_integer_like_counts():
     s = validate({0: np.int64(4), "2": 2})
     assert s.counts == {0: 4, 2: 2}
@@ -126,9 +143,14 @@ def test_make_degree_sequence_infeasible_target():
 @pytest.mark.parametrize("weight", [None, "x", math.nan, math.inf, -math.inf])
 def test_make_degree_sequence_rejects_bad_weights(weight):
     # A bad weight is named, not dropped or left to fail further on.
-    for p in ({0: 0.5, 1: 0.25, 2: weight}, [0.5, 0.25, weight]):
-        with pytest.raises(ValueError, match="weight of degree 2"):
-            make_degree_sequence(p, 1000, 6)
+    with pytest.raises(ValueError, match="weight of degree 2"):
+        make_degree_sequence({0: 0.5, 1: 0.25, 2: weight}, 1000, 6)
+
+
+def test_make_degree_sequence_rejects_boolean_weights():
+    # True was read as the weight 1.0.
+    with pytest.raises(ValueError, match="weight of degree 0"):
+        make_degree_sequence({0: True, 2: 1}, 1000, 5)
 
 
 def test_make_degree_sequence_rejects_fractional_degrees():

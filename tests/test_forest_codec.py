@@ -199,7 +199,8 @@ def test_forest_json_round_trip():
     assert json.loads(m.to_json())["mark"] == [1, 1]
 
 
-@pytest.mark.parametrize("text", ["{}", "[]", '{"trees": 5}', '{"trees": [5]}'])
+@pytest.mark.parametrize("text", ["{}", "[]", '{"trees": 5}', '{"trees": [5]}',
+                                  '{"trees": [[false], [true, false]]}'])
 def test_forest_from_json_rejects_malformed_json(text):
     with pytest.raises(MalformedBridge):
         PlaneForest.from_json(text)
