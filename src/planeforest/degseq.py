@@ -78,7 +78,11 @@ def _count(i: int, k) -> int:
 
 
 def _weight(i: int, w) -> float:
-    if isinstance(w, bool) or not isinstance(w, numbers.Real) or not math.isfinite(w):
+    try:
+        ok = not isinstance(w, bool) and isinstance(w, numbers.Real) and math.isfinite(w)
+    except OverflowError:  # an integer too large for a float
+        ok = False
+    if not ok:
         raise ValueError(f"weight of degree {i} must be a finite number, got {w!r}")
     return float(w)
 

@@ -9,6 +9,7 @@ marked cyclic forests biject with coding walks by cutting at passage times.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -76,35 +77,100 @@ class PlaneTree:
         return par
 
 
-class _DegreeTokens(dict):
-    """Degree -> its JSON text, filled in on first use."""
+_BLOCK = 1 << 16  # nodes per block of to_json: bounds its temporaries
 
-    def __missing__(self, d: int) -> str:
-        self[d] = text = str(d)
-        return text
+
+def _json_lex(lex: np.ndarray, sizes: np.ndarray) -> Iterator[str]:
+    """JSON text of the trees' lex lists, without the outermost "[[" and "]]", in blocks.
+
+    Each degree d present has two tokens, "d, " and, for the last node of a
+    tree, "d], [".  Each token is packed into the same whole number of uint64
+    words, padded with NUL bytes; a block of nodes is its tokens' words
+    gathered by key (degree code, plus the number of degrees at a tree's end)
+    with the NULs deleted.
+    """
+    present = np.bincount(lex) > 0
+    degrees = np.flatnonzero(present).tolist()
+    code = np.cumsum(present) - 1  # degree -> its index in ``degrees``
+    tokens = [f"{d}, ".encode() for d in degrees] + [f"{d}], [".encode() for d in degrees]
+    width = 8 * -(-max(map(len, tokens)) // 8)
+    words = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in tokens), dtype=np.uint64)
+    words = words.reshape(len(tokens), width // 8)
+    ends = np.cumsum(sizes) - 1
+    n = lex.size
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        key = code[lex[lo:hi]]
+        key[ends[np.searchsorted(ends, lo) : np.searchsorted(ends, hi)] - lo] += len(degrees)
+        text = words[key].tobytes().translate(None, b"\0").decode("ascii")
+        yield text if hi < n else text[:-4]  # the last "], [" is the close of the list
+
+
+class _LazyTrees:
+    """``PlaneForest.trees`` of an array-backed forest: built from the arrays on
+    first read and stored in the instance's ``__dict__``, where later reads
+    find it first.  A forest built from trees has it there from the start."""
+
+    def __get__(self, f, owner=None):
+        if f is None:
+            raise AttributeError("trees")  # so the dataclass field has no default
+        slices = np.split(f._lex, np.cumsum(f._sizes[:-1]))
+        trees = tuple(PlaneTree._unchecked(tuple(x.tolist())) for x in slices)
+        f.__dict__["trees"] = trees
+        return trees
 
 
 @dataclass(frozen=True)
 class PlaneForest:
-    """Nonempty sequence of plane trees."""
+    """Nonempty sequence of plane trees.
 
-    trees: tuple[PlaneTree, ...]
+    A forest made by ``_from_lex`` or ``_unchecked`` holds its trees' lex
+    sequences laid end to end in ``_lex`` and the tree sizes in ``_sizes``
+    (int64 arrays), and builds ``trees`` from them on first read.  Equality,
+    hashing and repr are those of ``trees`` either way.
+    """
+
+    trees: tuple[PlaneTree, ...] = _LazyTrees()
+    _lex = None
+    _sizes = None
 
     def __post_init__(self):
         object.__setattr__(self, "trees", tuple(self.trees))
         if not self.trees:
             raise MalformedBridge("forest must contain at least one tree")
 
+    @classmethod
+    def _unchecked(cls, lex: np.ndarray, sizes: np.ndarray) -> "PlaneForest":
+        """Forest that keeps the int64 arrays ``lex`` and ``sizes`` as they are.
+
+        The caller has checked them as a forest and does not change them later.
+        """
+        f = object.__new__(cls)
+        object.__setattr__(f, "_lex", lex)
+        object.__setattr__(f, "_sizes", sizes)
+        return f
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lex, sizes) as int64 arrays."""
+        if self._lex is not None:
+            return self._lex, self._sizes
+        lex = itertools.chain.from_iterable(t.lex for t in self.trees)
+        sizes = (t.size for t in self.trees)
+        return np.fromiter(lex, np.int64), np.fromiter(sizes, np.int64, len(self.trees))
+
+    def _last_tree(self) -> tuple[int, int]:
+        """(index, size) of the last tree."""
+        if self._sizes is None:
+            return len(self.trees) - 1, self.trees[-1].size
+        return len(self._sizes) - 1, int(self._sizes[-1])
+
     @property
     def size(self) -> int:
-        return sum(t.size for t in self.trees)
+        return sum(t.size for t in self.trees) if self._lex is None else self._lex.size
 
     def degree_sequence(self) -> DegreeSequence:
-        counts: dict[int, int] = {}
-        for t in self.trees:
-            for d in t.lex:
-                counts[d] = counts.get(d, 0) + 1
-        return validate(counts)
+        counts = np.bincount(self._arrays()[0])
+        return validate({i: int(k) for i, k in enumerate(counts) if k})
 
     @classmethod
     def _from_lex(cls, lex: np.ndarray, sizes: np.ndarray) -> "PlaneForest":
@@ -113,7 +179,8 @@ class PlaneForest:
         All trees are checked in one pass over the array, against the same
         rules :class:`PlaneTree` applies node by node: integer degrees >= 0,
         and each tree's walk, relative to its start, stays >= 0 before its
-        last node and is exactly -1 there.
+        last node and is exactly -1 there.  The forest keeps ``lex`` as its
+        storage when it is already int64, so the caller must not change it.
         """
         lex, sizes = np.asarray(lex), np.asarray(sizes)
         if lex.dtype.kind not in "biu":
@@ -138,16 +205,12 @@ class PlaneForest:
         lows = np.minimum.reduceat(walk, np.column_stack((ends - sizes + 1, ends)).ravel())[::2]
         if np.any((lows < base) & (sizes > 1)):
             raise MalformedBridge("lex sequence closes the tree early")
-        slices = np.split(lex, ends[:-1] + 1)
-        return cls(tuple(PlaneTree._unchecked(tuple(x.tolist())) for x in slices))
+        return cls._unchecked(lex, sizes.astype(np.int64, copy=False))
 
     def to_json(self, mark: tuple[int, int] | None = None) -> str:
-        # Byte-identical to json.dumps({"trees": ..., "mark": ...}): every lex
-        # entry is a Python int, which JSON writes as its str().
-        tokens = _DegreeTokens()
-        trees = "], [".join(", ".join(map(tokens.__getitem__, t.lex)) for t in self.trees)
+        # Byte-identical to json.dumps({"trees": ..., "mark": ...}).
         tail = "" if mark is None else ', "mark": ' + json.dumps(list(mark))
-        return '{"trees": [[' + trees + "]]" + tail + "}"
+        return "".join(['{"trees": [[', *_json_lex(*self._arrays()), "]]" + tail + "}"])
 
     @staticmethod
     def from_json(text: str) -> "PlaneForest":
@@ -172,10 +235,10 @@ class MarkedCyclicForest:
 
     def __post_init__(self):
         ti, pos = self.mark
-        trees = self.forest.trees
-        if ti != len(trees) - 1:
+        last, size = self.forest._last_tree()
+        if ti != last:
             raise MalformedBridge("mark must lie in the last tree")
-        if not 1 <= pos <= trees[ti].size:
+        if not 1 <= pos <= size:
             raise MalformedBridge("mark position outside the marked tree")
 
     def to_json(self) -> str:

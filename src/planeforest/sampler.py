@@ -52,11 +52,11 @@ def sample_mcf(s: DegreeSequence, rng: np.random.Generator) -> MarkedCyclicFores
 
 
 def sample_forest(s: DegreeSequence, rng: np.random.Generator) -> PlaneForest:
-    """Exactly uniform plane forest with degree sequence s."""
-    mcf = sample_mcf(s, rng)
-    trees = mcf.forest.trees
-    k = int(rng.integers(len(trees)))
-    return PlaneForest(trees[k:] + trees[:k])
+    """Exactly uniform plane forest with degree sequence s: the marked cyclic
+    forest's trees rotated to start at a uniform tree k, its mark dropped."""
+    lex, sizes = sample_mcf(s, rng).forest._arrays()
+    k = int(rng.integers(len(sizes)))
+    return PlaneForest._unchecked(np.roll(lex, -int(sizes[:k].sum())), np.roll(sizes, -k))
 
 
 @dataclass

@@ -12,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from planeforest import forest_codec
 from planeforest.cli import EXIT_CRITERION, EXIT_INVALID, EXIT_OK, main
 from planeforest.degseq import geometric_profile, make_degree_sequence
-from planeforest.sampler import substream, walk_statistics
+from planeforest.sampler import sample_forest, substream, walk_statistics
 
 
 def run(capsys, *argv):
@@ -159,6 +160,29 @@ def test_sample_writes_each_record_as_it_is_drawn(tmp_path):
     one, twenty = (_traced_peak(lambda: main(argv(count))) for count in ("1", "20"))
     assert (tmp_path / "20").read_text().count("\n") == 20
     assert twenty <= 1.5 * one
+
+
+@pytest.mark.parametrize("kind", ["forest", "mcf"])
+def test_sample_json_builds_no_tree_objects(tmp_path, monkeypatch, kind):
+    # The forest path stays on the (lex, sizes) arrays from draw to JSON.
+    def no_trees(*args, **kwargs):
+        raise AssertionError("a PlaneTree was built")
+
+    monkeypatch.setattr(forest_codec.PlaneTree, "__init__", no_trees)
+    monkeypatch.setattr(forest_codec.PlaneTree, "_unchecked", no_trees)
+    ds = tmp_path / "s.json"
+    ds.write_text(make_degree_sequence(geometric_profile(), 200_000, 21, seed=1).to_json())
+    argv = ["sample", kind, "--degseq", str(ds), "--seed", "1", "--count", "2"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+def test_to_json_peak_memory_is_a_few_times_its_output():
+    # The encoder works in blocks of nodes; over the whole array at once its
+    # keys, gathered words and their bytes add three O(n) temporaries.
+    f = sample_forest(make_degree_sequence(geometric_profile(), 1_000_000, 125, seed=1),
+                      substream(1, 0))
+    size = len(f.to_json())
+    assert _traced_peak(f.to_json) <= 4.5 * size
 
 
 def test_codec_encode_decode_round_trip(capsys):
@@ -326,6 +350,8 @@ def test_missing_or_empty_arguments_are_invalid(capsys, argv):
     ("codec", "split", "--walk", "[0, true, false, -1]"),
     ("degseq", "make", "--p", '{"0": true, "2": true}', "--n", "100", "--c", "4"),
     ("verify", "tau", "--p", '{"0": "1", "2": "1"}', "--n", "1000", "--reps", "2", "--seed", "1"),
+    # An integer weight too large for a float.
+    ("degseq", "make", "--p", '{"0": 1' + "0" * 400 + ', "2": 1}', "--n", "100", "--c", "4"),
     # A degree is an integer or its canonical decimal string, named once.
     ("degseq", "check", "--counts", '{"0": 3, "1": 5, "01": 2}'),
     ("degseq", "check", "--counts", '{"0": 12, "1_0": 1}'),
@@ -347,6 +373,7 @@ def test_missing_or_empty_arguments_are_invalid(capsys, argv):
         "verify_cn_zero", "sample_tau_count_huge", "verify_top_huge", "counts_boolean",
         "degseq_file_boolean_count", "tree_boolean_entries", "bridge_boolean_entries",
         "walk_boolean_entries", "profile_weight_boolean", "profile_weight_string",
+        'degseq make --p \'{"0": 1<400 zeros>, "2": 1}\'',
         "counts_leading_zero_key", "counts_underscore_key", "counts_space_key",
         "counts_repeated_json_key", "profile_repeated_json_key", "profile_leading_zero_key",
         "degseq_file_repeated_key"])
@@ -369,6 +396,8 @@ def test_malformed_inputs_are_invalid(tmp_path, capsys, argv):
         assert "--cn-exp" in err
     if "--cn" in argv and int(argv[argv.index("--cn") + 1]) < 1:
         assert "cn=" in err
+    if any("0" * 400 in arg for arg in argv):
+        assert "weight of degree 0" in err
 
 
 def test_readme_commands_run(tmp_path, monkeypatch, capsys):

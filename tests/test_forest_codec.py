@@ -23,6 +23,7 @@ from planeforest import (
     marked_tree_from_bridge,
     mcf_from_walk,
     mcf_preimages,
+    sample_forest,
     sample_mcf,
     substream,
     validate,
@@ -285,3 +286,34 @@ def test_to_json_equals_json_dumps(m):
     trees = [list(t.lex) for t in m.forest.trees]
     assert m.forest.to_json() == json.dumps({"trees": trees})
     assert m.to_json() == json.dumps({"trees": trees, "mark": list(m.mark)})
+
+
+@pytest.mark.parametrize("counts", [
+    {0: 30, 10: 2, 11: 1},
+    {0: 400, 100: 2, 150: 1},
+    {0: 1_000_000, 999_999: 1},  # "999999], [" fills more than one 8-byte word
+    {0: 7},
+    {0: 5, 1: 3, 2: 4},
+], ids=["two_digit_degrees", "three_digit_degrees", "token_above_8_bytes",
+        "single_node_trees", "one_tree"])
+def test_to_json_equals_json_dumps_for_large_degrees_and_edge_shapes(counts):
+    s = validate(counts)
+    for seed in range(2):
+        m = sample_mcf(s, substream(seed, 0))
+        f = sample_forest(s, substream(seed, 0))
+        texts = m.to_json(), f.to_json()
+        assert texts == (json.dumps({"trees": [list(t.lex) for t in m.forest.trees],
+                                     "mark": list(m.mark)}),
+                         json.dumps({"trees": [list(t.lex) for t in f.trees]}))
+
+
+def test_tuple_and_array_forests_agree():
+    f = sample_forest(validate({0: 9, 1: 2, 2: 3, 3: 1}), substream(3, 0))
+    g = PlaneForest.from_json(f.to_json())  # built from tuples
+    assert (g.size, g.degree_sequence()) == (f.size, f.degree_sequence())
+    assert g.to_json() == f.to_json()
+    assert "trees" not in vars(f)  # nothing above built f's trees
+    assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
+    m = sample_mcf(validate({0: 9, 1: 2, 2: 3, 3: 1}), substream(3, 0))
+    n = MarkedCyclicForest(PlaneForest(m.forest.trees), m.mark)
+    assert n == m and hash(n) == hash(m) and repr(n) == repr(m) and n.to_json() == m.to_json()
