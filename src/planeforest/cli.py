@@ -39,10 +39,11 @@ def _parse_profile(text: str) -> dict[int, float]:
     raise ValueError(f"unknown profile {text!r}")
 
 
-def _at_least_one(args, *names):
-    for name in names:
-        if getattr(args, name) < 1:
-            raise ValueError(f"--{name} must be at least 1, got {getattr(args, name)}")
+def _at_least(args, **lows):
+    """Reject each option --name below its least value lows[name]."""
+    for name, low in lows.items():
+        if getattr(args, name) < low:
+            raise ValueError(f"--{name} must be at least {low}, got {getattr(args, name)}")
 
 
 def _write(out: str | None, lines):
@@ -66,7 +67,7 @@ def _cmd_degseq(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    _at_least_one(args, "count", "top")
+    _at_least(args, count=1, top=1, seed=0)
     with open(args.degseq) as fh:
         s = degseq.DegreeSequence.from_json(fh.read())
     if args.format == "csv":
@@ -106,7 +107,7 @@ def _cmd_codec(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    _at_least_one(args, "count", "top")
+    _at_least(args, count=1, top=1, seed=0)
     if args.action == "sample-tau":
         rng = sampler.rng_from_seed(args.seed)
         samples = limit_sim.sample_tau_exact(args.sigma, rng, size=args.count)
@@ -133,7 +134,7 @@ _EXPERIMENTS = {
 
 
 def _cmd_verify(args) -> int:
-    _at_least_one(args, "reps", "n", "top")
+    _at_least(args, reps=1, n=1, top=1, seed=0)
     if not 0 <= args.cn_exp < 1:
         raise ValueError(f"--cn-exp must lie in [0, 1), got {args.cn_exp}")
     p = _parse_profile(args.p)

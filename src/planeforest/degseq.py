@@ -79,11 +79,11 @@ def _count(i: int, k) -> int:
 
 def _weight(i: int, w) -> float:
     try:
-        ok = not isinstance(w, bool) and isinstance(w, numbers.Real) and math.isfinite(w)
+        ok = not isinstance(w, bool) and isinstance(w, numbers.Real) and math.isfinite(w) and w >= 0
     except OverflowError:  # an integer too large for a float
         ok = False
     if not ok:
-        raise ValueError(f"weight of degree {i} must be a finite number, got {w!r}")
+        raise ValueError(f"weight of degree {i} must be a finite number >= 0, got {w!r}")
     return float(w)
 
 
@@ -114,7 +114,7 @@ def _degree_map(m, value, error: type[Exception]) -> dict:
 
 
 def profile_weights(p: Mapping) -> dict[int, float]:
-    """The profile ``p`` as {degree: weight}; each weight must be a finite number."""
+    """The profile ``p`` as {degree: weight}; each weight must be a finite number >= 0."""
     return _degree_map(p, _weight, ValueError)
 
 
@@ -170,7 +170,7 @@ def make_degree_sequence(p: Mapping[int, float], n: int, c_target: int,
     ``p`` maps each degree to its weight, as ``profile_weights`` reads it.
     """
     del seed
-    weights = {i: w for i, w in profile_weights(p).items() if w > 0}
+    weights = profile_weights(p)
     total_w = sum(weights.values())
     if total_w <= 0:
         raise ValueError("p must have positive mass")

@@ -124,10 +124,10 @@ class _LazyTrees:
 class PlaneForest:
     """Nonempty sequence of plane trees.
 
-    A forest made by ``_from_lex`` or ``_unchecked`` holds its trees' lex
-    sequences laid end to end in ``_lex`` and the tree sizes in ``_sizes``
-    (int64 arrays), and builds ``trees`` from them on first read.  Equality,
-    hashing and repr are those of ``trees`` either way.
+    A forest made by ``_from_lex`` holds its trees' lex sequences laid end
+    to end in ``_lex`` and the tree sizes in ``_sizes`` (int64 arrays), and
+    builds ``trees`` from them on first read.  Equality, hashing and repr
+    are those of ``trees`` either way.
     """
 
     trees: tuple[PlaneTree, ...] = _LazyTrees()
@@ -138,17 +138,6 @@ class PlaneForest:
         object.__setattr__(self, "trees", tuple(self.trees))
         if not self.trees:
             raise MalformedBridge("forest must contain at least one tree")
-
-    @classmethod
-    def _unchecked(cls, lex: np.ndarray, sizes: np.ndarray) -> "PlaneForest":
-        """Forest that keeps the int64 arrays ``lex`` and ``sizes`` as they are.
-
-        The caller has checked them as a forest and does not change them later.
-        """
-        f = object.__new__(cls)
-        object.__setattr__(f, "_lex", lex)
-        object.__setattr__(f, "_sizes", sizes)
-        return f
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(lex, sizes) as int64 arrays."""
@@ -205,7 +194,10 @@ class PlaneForest:
         lows = np.minimum.reduceat(walk, np.column_stack((ends - sizes + 1, ends)).ravel())[::2]
         if np.any((lows < base) & (sizes > 1)):
             raise MalformedBridge("lex sequence closes the tree early")
-        return cls._unchecked(lex, sizes.astype(np.int64, copy=False))
+        f = object.__new__(cls)
+        object.__setattr__(f, "_lex", lex)
+        object.__setattr__(f, "_sizes", sizes.astype(np.int64, copy=False))
+        return f
 
     def to_json(self, mark: tuple[int, int] | None = None) -> str:
         # Byte-identical to json.dumps({"trees": ..., "mark": ...}).

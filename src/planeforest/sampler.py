@@ -32,31 +32,37 @@ def shuffle_degrees(s: DegreeSequence, rng: np.random.Generator) -> np.ndarray:
     return rng.permutation(degree_vector(s))
 
 
-def sample_mcf(s: DegreeSequence, rng: np.random.Generator) -> MarkedCyclicForest:
-    """Exactly uniform marked cyclic forest with degree sequence s.
+def _marked_arrays(s: DegreeSequence, rng: np.random.Generator):
+    """(lex, sizes, r) of an exactly uniform marked cyclic forest.
 
     The shuffled degree vector is the trees' lex sequences laid end to end:
     the first c-1 trees are its slices at the walk's passage times.  The
     marked tree is the last slice, of m nodes, rolled left by r, where r - 1
     is the first argmin of the walk over it (the rotation lemma); its mark
     is lex position m - r + 1.  The roll is written back into the vector,
-    and the whole array is then checked once as a forest.
+    and each caller checks the arrays it returns once, as a whole forest.
     """
     ws = walk_statistics(s, rng)
     lex, sizes, n, m = ws.perm, ws.sizes, s.n, int(ws.sizes[-1])
     r = int(np.argmin(ws.walk[n - m :])) + 1
-    del ws  # frees the walk before the check below makes its own
+    del ws  # frees the walk before the caller's check makes its own
     lex[n - m :] = np.roll(lex[n - m :], -r)
-    forest = PlaneForest._from_lex(lex, sizes)
-    return MarkedCyclicForest(forest, (s.c - 1, m - r + 1))
+    return lex, sizes, r
+
+
+def sample_mcf(s: DegreeSequence, rng: np.random.Generator) -> MarkedCyclicForest:
+    """Exactly uniform marked cyclic forest with degree sequence s."""
+    lex, sizes, r = _marked_arrays(s, rng)
+    return MarkedCyclicForest(PlaneForest._from_lex(lex, sizes), (s.c - 1, int(sizes[-1]) - r + 1))
 
 
 def sample_forest(s: DegreeSequence, rng: np.random.Generator) -> PlaneForest:
     """Exactly uniform plane forest with degree sequence s: the marked cyclic
     forest's trees rotated to start at a uniform tree k, its mark dropped."""
-    lex, sizes = sample_mcf(s, rng).forest._arrays()
+    lex, sizes, _ = _marked_arrays(s, rng)
     k = int(rng.integers(len(sizes)))
-    return PlaneForest._unchecked(np.roll(lex, -int(sizes[:k].sum())), np.roll(sizes, -k))
+    lex = np.roll(lex, -int(sizes[:k].sum()))  # frees the unrolled array before the check
+    return PlaneForest._from_lex(lex, np.roll(sizes, -k))
 
 
 @dataclass

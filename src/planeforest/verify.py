@@ -113,7 +113,7 @@ def experiment_tau(p, n: int, cn: int, reps: int, seed: int) -> ExperimentReport
         stats = {"degenerate": True, "sigma": sigma}
         passed = {"degenerate_tau_zero": bool(np.all(taus == 0))}
     else:
-        cdf = lambda t: tau_cdf(np.maximum(t, 1e-300), sigma)
+        cdf = lambda t: tau_cdf(t, sigma)  # both samples are >= 1/cn^2 when c >= 2
         ks_small = ks_one_sample(small_mass, cdf)
         ks_tau = ks_one_sample(taus, cdf)
         stats = {"sigma": sigma, "ks_small_mass": ks_small, "ks_tau": ks_tau}
@@ -128,6 +128,8 @@ def experiment_tree_sizes(p, n: int, cn: int, reps: int, top_j: int, seed: int,
     The limit draws are censored at DEFAULT_T_CAP, read at call time.
     """
     t0 = time.perf_counter()
+    if top_j < 1:
+        raise ValueError(f"top_j must be at least 1, got {top_j}")
     s, sigma, params = _setup(p, n, cn, reps, seed)
     params.update(top_j=top_j, dt=dt, limit_reps=limit_reps, t_cap=DEFAULT_T_CAP)
     ranked = np.array(list(map(lambda ws: ws.ranked_sizes, replicates(s, seed, reps))))
@@ -163,14 +165,16 @@ def experiment_walk(p, n: int, cn: int, reps: int, seed: int) -> ExperimentRepor
     kmax = ks_idx[-1]
     if kmax > n:
         raise ValueError("t * cn^2 exceeds n")
-    vals = np.empty((reps, len(_WALK_T)))
-    half = np.empty((reps, 2))  # two disjoint increments for the diagnostic
-    for rep in range(reps):
+
+    def row(rep: int) -> np.ndarray:
+        # W(k) at the t points and at kmax // 2, with W(0) = 0 prepended.
         walk = np.cumsum(shuffle_degrees(s, substream(seed, rep))[:kmax] - 1)
-        for j, k in enumerate(ks_idx):
-            vals[rep, j] = walk[k - 1] / cn if k >= 1 else 0.0  # cn = 1 has k = 0 at t = 0.5
-        mid = kmax // 2
-        half[rep] = walk[mid - 1], walk[kmax - 1] - walk[mid - 1]
+        return np.concatenate(([0], walk))[[*ks_idx, kmax // 2]]
+
+    rows = np.array(list(map(row, range(reps))))
+    vals = rows[:, :-1] / cn
+    # Two disjoint increments for the diagnostic: W(kmax // 2) and W(kmax) - W(kmax // 2).
+    half = np.column_stack((rows[:, -1], rows[:, -2] - rows[:, -1]))
     stats: dict = {"sigma": sigma, "ks": {}, "variance": {}}
     passed: dict = {}
     for j, t in enumerate(_WALK_T):
@@ -200,25 +204,25 @@ def experiment_degrees(p, n: int, cn: int, reps: int, seed: int) -> ExperimentRe
     if s.c < _TREE_RANKS[-1]:
         raise ValueError(f"tree rank {_TREE_RANKS[-1]} exceeds the tree count c = {s.c}")
     emp = empirical(s)
-    global_p = {i: emp.probs.get(i, 0.0) for i in _DEGREES}
-    global_sig = emp.second_moment
-    p_diffs = {(i, l): np.empty(reps) for i in _DEGREES for l in _TREE_RANKS}
-    s_diffs = {l: np.empty(reps) for l in _TREE_RANKS}
+    reference = [*(emp.probs.get(i, 0.0) for i in _DEGREES), emp.second_moment]
+
+    def tree(counts: np.ndarray) -> list:
+        # The tree's shares of _DEGREES, then its sum of i^2 p_i.
+        size, idx = counts.sum(), np.arange(len(counts))
+        shares = [counts[i] / size if i < len(counts) else 0.0 for i in _DEGREES]
+        return [*shares, float((idx * idx * counts).sum()) / size]
+
     # Each record is read down to its ranked trees before the next is drawn.
-    ranked = map(lambda ws: [(l, ws.tree_degree_counts(l), int(ws.ranked_sizes[l - 1]))
-                             for l in _TREE_RANKS], replicates(s, seed, reps))
-    for rep, trees in enumerate(ranked):
-        for l, counts, size in trees:
-            for i in _DEGREES:
-                pi = counts[i] / size if i < len(counts) else 0.0
-                p_diffs[(i, l)][rep] = abs(pi - global_p[i])
-            idx = np.arange(len(counts))
-            s_diffs[l][rep] = abs(float((idx * idx * counts).sum()) / size - global_sig)
+    row = lambda ws: [tree(ws.tree_degree_counts(l)) for l in _TREE_RANKS]
+    diffs = np.abs(np.array(list(map(row, replicates(s, seed, reps)))) - reference)
+    p_cols = {f"i={i},l={l}": diffs[:, k, j]
+              for j, i in enumerate(_DEGREES) for k, l in enumerate(_TREE_RANKS)}
+    s_cols = {f"l={l}": diffs[:, k, -1] for k, l in enumerate(_TREE_RANKS)}
     stats = {
-        "p_quantiles": {f"i={i},l={l}": float(np.quantile(v, _QUANTILE)) for (i, l), v in p_diffs.items()},
-        "p_exceedance": {f"i={i},l={l}": float((v > _DELTA).mean()) for (i, l), v in p_diffs.items()},
-        "sigma_sq_quantiles": {f"l={l}": float(np.quantile(v, _QUANTILE)) for l, v in s_diffs.items()},
-        "sigma_sq_exceedance": {f"l={l}": float((v > _DELTA).mean()) for l, v in s_diffs.items()},
+        "p_quantiles": {key: float(np.quantile(v, _QUANTILE)) for key, v in p_cols.items()},
+        "p_exceedance": {key: float((v > _DELTA).mean()) for key, v in p_cols.items()},
+        "sigma_sq_quantiles": {key: float(np.quantile(v, _QUANTILE)) for key, v in s_cols.items()},
+        "sigma_sq_exceedance": {key: float((v > _DELTA).mean()) for key, v in s_cols.items()},
     }
     return ExperimentReport("degrees", params, stats, {}, time.perf_counter() - t0)
 
@@ -248,11 +252,8 @@ def experiment_concentration(p, n: int, cn: int, reps: int, seed: int) -> Experi
     p_i = s.counts.get(_CONC_DEGREE, 0) / n
     base = (degree_vector(s) == _CONC_DEGREE).astype(np.int64)
     ms = np.arange(cn + 1, n + 1, dtype=float)
-    sups = np.empty(reps)
-    for rep in range(reps):
-        mask = substream(seed, rep).permutation(base)
-        q = np.cumsum(mask)[cn:]
-        sups[rep] = np.abs(p_i - q / ms).max()
+    sup = lambda rep: np.abs(p_i - np.cumsum(substream(seed, rep).permutation(base))[cn:] / ms).max()
+    sups = np.array(list(map(sup, range(reps))))
     stats: dict = {"p_i": p_i, "cn": cn, "exceedance": {}, "bound": {}}
     passed: dict = {}
     for t in _CONC_THRESHOLDS:

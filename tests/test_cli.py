@@ -120,6 +120,24 @@ def test_sample_json_bytes_are_pinned(tmp_path, kind, seed):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SAMPLE_SHA256[kind, seed]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sample_forest_checks_the_forest_it_returns(monkeypatch, seed):
+    # sample_forest builds no marked cyclic forest: it rotates the drawn arrays
+    # and checks the rotated ones, once, as the forest it returns.
+    def no_mcf(self):
+        raise AssertionError("a MarkedCyclicForest was built")
+
+    checks = []
+    from_lex = forest_codec.PlaneForest._from_lex
+    monkeypatch.setattr(forest_codec.MarkedCyclicForest, "__post_init__", no_mcf)
+    monkeypatch.setattr(forest_codec.PlaneForest, "_from_lex",
+                        classmethod(lambda cls, *a: checks.append(a) or from_lex(*a)))
+    s = make_degree_sequence(geometric_profile(), 10_000, 25, seed=1)
+    text = sample_forest(s, substream(seed, 0)).to_json() + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SAMPLE_SHA256["forest", seed]
+    assert len(checks) == 1
+
+
 def _traced_peak(call):
     """tracemalloc's peak, in bytes, while call() runs."""
     tracemalloc.start()
@@ -360,6 +378,13 @@ def test_missing_or_empty_arguments_are_invalid(capsys, argv):
     ("degseq", "make", "--p", '{"0": 0.5, "0": 0.5, "2": 0.5}', "--n", "100", "--c", "4"),
     ("degseq", "make", "--p", '{"00": 0.5, "2": 0.5}', "--n", "100", "--c", "4"),
     ("sample", "forest", "--degseq", 'file:{"counts": {"0": 4, "0": 5, "2": 2}}', "--seed", "1"),
+    # A negative profile weight is named, not dropped.
+    ("degseq", "make", "--p", '{"0": 0.5, "1": 0.1, "2": 0.5, "3": -0.1}', "--n", "1000", "--c", "5"),
+    # A negative seed is named before the degree sequence is read or --out is opened.
+    ("sample", "forest", "--degseq", 'file:{"counts": {"0": 4, "2": 2}}', "--seed", "-1",
+     "--out", "out:o.json"),
+    ("limit", "sample-tau", "--sigma", "1", "--count", "3", "--seed", "-1"),
+    ("verify", "tau", "--n", "1000", "--reps", "2", "--seed", "-1"),
 ], ids=["degrees_rank_above_c", "counts_not_a_mapping", "degseq_file_without_counts",
         "degseq_file_is_a_list", "tree_float_entries", "tree_negative_entry",
         "tree_nested_list", "bridge_float_entries", "bridge_nested_list",
@@ -376,16 +401,23 @@ def test_missing_or_empty_arguments_are_invalid(capsys, argv):
         'degseq make --p \'{"0": 1<400 zeros>, "2": 1}\'',
         "counts_leading_zero_key", "counts_underscore_key", "counts_space_key",
         "counts_repeated_json_key", "profile_repeated_json_key", "profile_leading_zero_key",
-        "degseq_file_repeated_key"])
+        "degseq_file_repeated_key", "profile_weight_negative", "sample_seed_negative",
+        "limit_seed_negative", "verify_seed_negative"])
 def test_malformed_inputs_are_invalid(tmp_path, capsys, argv):
-    # "file:<text>" stands for the path of a file that holds <text>.
+    # "file:<text>" stands for the path of a file that holds <text>, and
+    # "out:<name>" for the path tmp_path/<name>, which no invalid input may create.
+    outs = []
     for i, arg in enumerate(argv):
         if arg.startswith("file:"):
             path = tmp_path / f"arg{i}.json"
             path.write_text(arg[len("file:"):])
             argv = argv[:i] + (str(path),) + argv[i + 1:]
+        elif arg.startswith("out:"):
+            outs.append(tmp_path / arg[len("out:"):])
+            argv = argv[:i] + (str(outs[-1]),) + argv[i + 1:]
     code = main(list(argv))
     assert code == EXIT_INVALID
+    assert not any(path.exists() for path in outs)
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     if "--top" in argv and int(argv[argv.index("--top") + 1]) < 1:
@@ -398,6 +430,10 @@ def test_malformed_inputs_are_invalid(tmp_path, capsys, argv):
         assert "cn=" in err
     if any("0" * 400 in arg for arg in argv):
         assert "weight of degree 0" in err
+    if any('"3": -0.1' in arg for arg in argv):
+        assert "weight of degree 3" in err
+    if "--seed" in argv and int(argv[argv.index("--seed") + 1]) < 0:
+        assert "--seed" in err
 
 
 def test_readme_commands_run(tmp_path, monkeypatch, capsys):

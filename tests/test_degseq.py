@@ -140,7 +140,7 @@ def test_make_degree_sequence_infeasible_target():
         make_degree_sequence(geometric_profile(), 10_000, 10_000, seed=0)
 
 
-@pytest.mark.parametrize("weight", [None, "x", math.nan, math.inf, -math.inf,
+@pytest.mark.parametrize("weight", [None, "x", math.nan, math.inf, -math.inf, -0.1,
                                     pytest.param(10**400, id="int_above_float_max")])
 def test_make_degree_sequence_rejects_bad_weights(weight):
     # A bad weight is named, not dropped or left to fail further on.

@@ -142,9 +142,17 @@ def test_experiment_tree_sizes_report_is_pinned(monkeypatch):
 
 
 def test_fixed_shape_reports_are_pinned():
-    # n = 2000, cn = 6, 20 replicates at seed 1: the walk at t = 0.5, 1, 2,
-    # degrees 0-2 of the two largest trees, and leaf concentration at 0.3, 0.5.
+    # n = 2000, cn = 6, 20 replicates at seed 1: tau, the walk at t = 0.5, 1, 2,
+    # degrees 0-2 of the two largest trees, largest-is-marked, and leaf
+    # concentration at 0.3, 0.5.
     p = geometric_profile()
+    tau = experiment_tau(p, 2000, 6, 20, seed=1)
+    assert tau.stats == {"sigma": 1.39427400463467, "ks_small_mass": 0.2962096692902202,
+                         "ks_tau": 0.2962096692902202}
+    assert tau.passed == {"ks_small_mass": False}
+    largest = experiment_largest_marked(p, 2000, 6, 20, seed=1)
+    assert largest.stats == {"frequency": 1.0, "ci95_half_width": 4.3826932358995876e-07}
+    assert largest.passed == {"frequency": True}
     walk = experiment_walk(p, 2000, 6, 20, seed=1)
     assert walk.stats == {
         "sigma": 1.39427400463467,
@@ -178,6 +186,17 @@ def test_fixed_shape_reports_are_pinned():
     assert {k: v for k, v in conc.params.items() if k != "counts"} == {
         "degree": 0, "reps": 20, "seed": 1, "thresholds": [0.3, 0.5],
     }
+
+
+@pytest.mark.parametrize("top_j", [0, -1])
+def test_experiment_tree_sizes_rejects_top_j_below_one_before_drawing(monkeypatch, top_j):
+    # A top_j below 1 is named before any forest replicate is drawn.
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a replicate was drawn")
+
+    monkeypatch.setattr(verify, "replicates", no_draws)
+    with pytest.raises(ValueError, match=f"top_j must be at least 1, got {top_j}"):
+        experiment_tree_sizes(geometric_profile(), 2000, 6, reps=5, top_j=top_j, seed=1)
 
 
 def test_experiment_tree_sizes_degenerate_at_one_tree(monkeypatch):
