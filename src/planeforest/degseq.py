@@ -222,5 +222,7 @@ def make_degree_sequence(p: Mapping[int, float], n: int, c_target: int,
 
 def geometric_profile(ratio: float = 0.5) -> dict[int, float]:
     """Geometric offspring weights p_i ~ ratio^(i+1) for degrees up to 64; mean 1 at ratio=1/2."""
+    if not 0 < ratio < 1:  # NaN included
+        raise ValueError(f"geometric ratio must lie in (0, 1), got {ratio}")
     return {i: (1 - ratio) * ratio**i for i in range(_GEOMETRIC_MAX_DEGREE + 1)}
 

@@ -106,31 +106,17 @@ def _json_lex(lex: np.ndarray, sizes: np.ndarray) -> Iterator[str]:
         yield text if hi < n else text[:-4]  # the last "], [" is the close of the list
 
 
-class _LazyTrees:
-    """``PlaneForest.trees`` of an array-backed forest: built from the arrays on
-    first read and stored in the instance's ``__dict__``, where later reads
-    find it first.  A forest built from trees has it there from the start."""
-
-    def __get__(self, f, owner=None):
-        if f is None:
-            raise AttributeError("trees")  # so the dataclass field has no default
-        slices = np.split(f._lex, np.cumsum(f._sizes[:-1]))
-        trees = tuple(PlaneTree._unchecked(tuple(x.tolist())) for x in slices)
-        f.__dict__["trees"] = trees
-        return trees
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class PlaneForest:
     """Nonempty sequence of plane trees.
 
     A forest made by ``_from_lex`` holds its trees' lex sequences laid end
     to end in ``_lex`` and the tree sizes in ``_sizes`` (int64 arrays), and
-    builds ``trees`` from them on first read.  Equality, hashing and repr
-    are those of ``trees`` either way.
+    builds ``trees`` from them on first read (see :class:`_LexForest`).
+    Equality, hashing and repr are those of ``trees`` either way.
     """
 
-    trees: tuple[PlaneTree, ...] = _LazyTrees()
+    trees: tuple[PlaneTree, ...]
     _lex = None
     _sizes = None
 
@@ -138,6 +124,15 @@ class PlaneForest:
         object.__setattr__(self, "trees", tuple(self.trees))
         if not self.trees:
             raise MalformedBridge("forest must contain at least one tree")
+
+    def __eq__(self, other):
+        return self.trees == other.trees if isinstance(other, PlaneForest) else NotImplemented
+
+    def __hash__(self):
+        return hash((self.trees,))
+
+    def __repr__(self):
+        return f"PlaneForest(trees={self.trees!r})"
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(lex, sizes) as int64 arrays."""
@@ -161,8 +156,8 @@ class PlaneForest:
         counts = np.bincount(self._arrays()[0])
         return validate({i: int(k) for i, k in enumerate(counts) if k})
 
-    @classmethod
-    def _from_lex(cls, lex: np.ndarray, sizes: np.ndarray) -> "PlaneForest":
+    @staticmethod
+    def _from_lex(lex: np.ndarray, sizes: np.ndarray) -> "PlaneForest":
         """Forest of the consecutive slices of ``lex`` with the given sizes.
 
         All trees are checked in one pass over the array, against the same
@@ -194,7 +189,7 @@ class PlaneForest:
         lows = np.minimum.reduceat(walk, np.column_stack((ends - sizes + 1, ends)).ravel())[::2]
         if np.any((lows < base) & (sizes > 1)):
             raise MalformedBridge("lex sequence closes the tree early")
-        f = object.__new__(cls)
+        f = object.__new__(_LexForest)
         object.__setattr__(f, "_lex", lex)
         object.__setattr__(f, "_sizes", sizes.astype(np.int64, copy=False))
         return f
@@ -212,6 +207,22 @@ class PlaneForest:
         if any(isinstance(d, bool) for t in obj["trees"] if isinstance(t, list) for d in t):
             raise MalformedBridge("lex entries must be integer degrees, not true/false")
         return PlaneForest(tuple(map(PlaneTree, obj["trees"])))
+
+
+class _LexForest(PlaneForest):
+    """A forest made by ``PlaneForest._from_lex``.  Its ``trees`` is built
+    from the arrays on first read and stored in the instance, where later
+    reads find it.  The ``__getattr__`` that does this lives here, not on
+    PlaneForest, so that forests built from trees keep CPython's specialized
+    attribute loads."""
+
+    def __getattr__(self, name):
+        if name != "trees":
+            raise AttributeError(f"'PlaneForest' object has no attribute {name!r}")
+        slices = np.split(self._lex, np.cumsum(self._sizes[:-1]))
+        trees = tuple(PlaneTree._unchecked(tuple(x.tolist())) for x in slices)
+        object.__setattr__(self, "trees", trees)
+        return trees
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 A uniformly shuffled degree vector codes a uniform marked cyclic forest;
 pulling back through the n-to-c marking map (uniform rotation, drop the
-mark) gives an exactly uniform plane forest.  Everything is O(n) per
-sample and deterministic given (degree sequence, seed).
+mark) gives an exactly uniform plane forest.  Each sample is one O(n)
+shuffle; the replicate kernel then sums the coding walk only up to the last
+small tree, O(tau_n), and sampling a forest adds O(n) for the marked tree.
+Everything is deterministic given (degree sequence, seed).
 """
 
 from __future__ import annotations
@@ -28,8 +30,12 @@ def substream(seed: int, index: int) -> np.random.Generator:
 
 
 def shuffle_degrees(s: DegreeSequence, rng: np.random.Generator) -> np.ndarray:
-    """Uniformly random arrangement of d(s) (Fisher-Yates via the generator)."""
-    return rng.permutation(degree_vector(s))
+    """Uniformly random arrangement of d(s) (Fisher-Yates via the generator).
+
+    Shuffled in place: the same draws as ``rng.permutation``, without its copy."""
+    perm = degree_vector(s)
+    rng.shuffle(perm)
+    return perm
 
 
 def _marked_arrays(s: DegreeSequence, rng: np.random.Generator):
@@ -38,14 +44,16 @@ def _marked_arrays(s: DegreeSequence, rng: np.random.Generator):
     The shuffled degree vector is the trees' lex sequences laid end to end:
     the first c-1 trees are its slices at the walk's passage times.  The
     marked tree is the last slice, of m nodes, rolled left by r, where r - 1
-    is the first argmin of the walk over it (the rotation lemma); its mark
-    is lex position m - r + 1.  The roll is written back into the vector,
-    and each caller checks the arrays it returns once, as a whole forest.
+    is the first argmin of its own walk (the rotation lemma); its mark is
+    lex position m - r + 1.  The roll is written back into the vector, and
+    each caller checks the arrays it returns once, as a whole forest.
     """
     ws = walk_statistics(s, rng)
     lex, sizes, n, m = ws.perm, ws.sizes, s.n, int(ws.sizes[-1])
-    r = int(np.argmin(ws.walk[n - m :])) + 1
-    del ws  # frees the walk before the caller's check makes its own
+    del ws  # frees the walk prefix before the marked tree's walk is summed
+    walk = lex[n - m :] - 1
+    r = int(np.argmin(np.cumsum(walk, out=walk))) + 1
+    del walk
     lex[n - m :] = np.roll(lex[n - m :], -r)
     return lex, sizes, r
 
@@ -67,10 +75,14 @@ def sample_forest(s: DegreeSequence, rng: np.random.Generator) -> PlaneForest:
 
 @dataclass
 class WalkStatistics:
-    """One sampled replicate's O(n) summary.
+    """One sampled replicate's summary, without trees.
 
-    ``sizes`` lists tree sizes in marked-cyclic-forest order (the marked
-    tree is last); ``tau_n`` is the total size of the non-marked trees;
+    ``perm`` is the shuffled degree vector (O(n)); ``walk`` is its coding
+    walk up to the end of the doubling window in which the walk first
+    reaches -(c-1), at most min(n, 2 tau_n + 4096) steps and empty when
+    c = 1; ``boundaries`` are the ends of the c tree segments.  ``sizes``
+    lists tree sizes in marked-cyclic-forest order (the marked tree is
+    last); ``tau_n`` is the total size of the non-marked trees;
     ``largest_is_marked`` is the event that the marked tree is the strictly
     largest (ties count against, matching the earlier-tree tie rule).
     """
@@ -92,24 +104,40 @@ class WalkStatistics:
         return np.bincount(self.perm[lo:hi])
 
 
-def _tree_boundaries(walk: np.ndarray, c: int) -> np.ndarray:
-    """Ends of the c tree segments of a coding walk (1-based step counts).
+_FIRST_WINDOW = 4096  # steps summed before the first passage check
 
-    The first c-1 boundaries are the first passage times of -1, ..., -(c-1);
-    the marked tree's lattice bridge may dip below -c early, so its segment
-    always ends at n.
+
+def _tree_boundaries(perm: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """(walk prefix, ends of the c tree segments) of a shuffled degree vector.
+
+    The walk is summed in windows of doubling length, each written into one
+    buffer, until a window reaches -(c-1).  The first c-1 boundaries (1-based
+    step counts) are the first passage times of -1, ..., -(c-1) in that
+    prefix; the marked tree's lattice bridge may dip below -c early, so its
+    segment always ends at n.
     """
+    n = len(perm)
+    buf = np.empty(n, dtype=np.int64)
+    hi, low = 0, 0
+    while low > 1 - c:
+        lo, hi = hi, min(n, 2 * hi + _FIRST_WINDOW)
+        window = buf[lo:hi]
+        np.subtract(perm[lo:hi], 1, out=window)
+        np.cumsum(window, out=window)
+        if lo:
+            window += buf[lo - 1]
+        low = window.min()
+    walk = buf[:hi]
     depth = np.minimum.accumulate(walk)
-    np.negative(depth, out=depth)  # in place: one O(n) temporary fewer per replicate
+    np.negative(depth, out=depth)  # in place: one prefix-sized temporary fewer
     bounds = np.searchsorted(depth, np.arange(1, c), side="left") + 1
-    return np.append(bounds, len(walk))
+    return walk, np.append(bounds, n)
 
 
 def walk_statistics(s: DegreeSequence, rng: np.random.Generator) -> WalkStatistics:
     """Sample one replicate and summarize it without materializing trees."""
     perm = shuffle_degrees(s, rng)
-    walk = np.cumsum(perm - 1)
-    boundaries = _tree_boundaries(walk, s.c)
+    walk, boundaries = _tree_boundaries(perm, s.c)
     sizes = np.diff(boundaries, prepend=0)
     order = np.argsort(-sizes, kind="stable")
     ranked = sizes[order]

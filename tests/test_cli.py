@@ -154,7 +154,8 @@ def _traced_peak(call):
 ])
 def test_replicate_loops_hold_one_record(tmp_path, command, n, c):
     # Each replicate's O(n) arrays are freed before the next is drawn, so
-    # three replicates peak no higher than one kernel call.
+    # three replicates peak no higher than the largest of their kernel calls
+    # (a call's peak grows with its replicate's walk prefix).
     s = make_degree_sequence(geometric_profile(), n, c, seed=1)
     ds, out = tmp_path / "s.json", tmp_path / "out"
     ds.write_text(s.to_json())
@@ -163,7 +164,7 @@ def test_replicate_loops_hold_one_record(tmp_path, command, n, c):
     argv = [*command.split(), *args, "--seed", "1", "--out", str(out)]
     assert main(argv) in (EXIT_OK, EXIT_CRITERION)  # warm-up: first-call allocations
     peak = _traced_peak(lambda: main(argv))
-    one = _traced_peak(lambda: walk_statistics(s, substream(1, 0)))
+    one = max(_traced_peak(lambda: walk_statistics(s, substream(1, i))) for i in range(3))
     assert peak <= 1.1 * one
 
 
@@ -434,6 +435,14 @@ def test_malformed_inputs_are_invalid(tmp_path, capsys, argv):
         assert "weight of degree 3" in err
     if "--seed" in argv and int(argv[argv.index("--seed") + 1]) < 0:
         assert "--seed" in err
+
+
+@pytest.mark.parametrize("ratio", ["2", "-0.5", "0", "1", "nan", "inf"])
+def test_geometric_ratio_outside_unit_interval_is_named(capsys, ratio):
+    code = main(["degseq", "make", "--p", f"geometric:{ratio}", "--n", "1000", "--c", "5"])
+    err = capsys.readouterr().err
+    assert code == EXIT_INVALID
+    assert err == f"error: ValueError: geometric ratio must lie in (0, 1), got {float(ratio)}\n"
 
 
 def test_readme_commands_run(tmp_path, monkeypatch, capsys):

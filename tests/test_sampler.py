@@ -1,4 +1,4 @@
-"""Exact uniform sampling and the O(n) replicate summary."""
+"""Exact uniform sampling and the replicate summary."""
 
 import collections
 import itertools
@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 import scipy.stats
 from hypothesis import example, given, settings, strategies as st
 
@@ -19,14 +20,14 @@ from planeforest import (
     rng_from_seed,
     sample_forest,
     sample_mcf,
+    sampler,
     shuffle_degrees,
     substream,
     validate,
     walk_from_degrees,
     walk_statistics,
 )
-from planeforest.degseq import geometric_profile
-from planeforest.lattice_paths import CodingWalk
+from planeforest.degseq import degree_vector, geometric_profile
 from planeforest.sampler import forest_summary_csv_header, forest_summary_csv_row
 
 
@@ -105,13 +106,60 @@ def test_walk_statistics_matches_full_decode():
         assert record.sizes.tolist() == ws.sizes.tolist()
         assert ws.sizes.sum() == s.n
         assert ws.tau_n == ws.sizes[:-1].sum()
-        m = mcf_from_walk(CodingWalk((0,) + tuple(int(x) for x in ws.walk)))
+        walk = walk_from_degrees(ws.perm)  # the whole coding walk, W(0) = 0 first
+        assert ws.walk.tolist() == list(walk.values[1 : len(ws.walk) + 1])
+        assert len(ws.walk) <= min(s.n, 2 * ws.tau_n + 4096)
+        m = mcf_from_walk(walk)
         decoded = [t.size for t in m.forest.trees]
         assert decoded == ws.sizes.tolist()
         assert sorted(ws.ranked_sizes.tolist(), reverse=True) == ws.ranked_sizes.tolist()
         largest = max(decoded)
         strictly_last = decoded[-1] == largest and decoded.count(largest) == 1
         assert ws.largest_is_marked == strictly_last
+
+
+def _full_walk_statistics(s, rng):
+    """The O(n) reference: the whole walk, its running minimum and the passage search."""
+    perm = rng.permutation(degree_vector(s))
+    depth = -np.minimum.accumulate(np.cumsum(perm - 1))
+    boundaries = np.append(np.searchsorted(depth, np.arange(1, s.c), side="left") + 1, s.n)
+    sizes = np.diff(boundaries, prepend=0)
+    order = np.argsort(-sizes, kind="stable")
+    return perm, boundaries, sizes, order
+
+
+def _assert_matches_full_walk(s, seed):
+    ws = walk_statistics(s, substream(seed, 0))
+    perm, boundaries, sizes, order = _full_walk_statistics(s, substream(seed, 0))
+    assert np.array_equal(ws.perm, perm)
+    assert np.array_equal(ws.boundaries, boundaries)
+    assert np.array_equal(ws.sizes, sizes)
+    assert np.array_equal(ws.ranked_order, order)
+    assert ws.tau_n == (boundaries[-2] if s.c >= 2 else 0)
+    assert ws.largest_is_marked == (order[0] == s.c - 1)
+    for rank in range(1, s.c + 1):
+        t = order[rank - 1]
+        lo = boundaries[t - 1] if t else 0
+        expected = np.bincount(perm[lo : boundaries[t]])
+        assert np.array_equal(ws.tree_degree_counts(rank), expected)
+    assert len(ws.walk) <= min(s.n, 2 * ws.tau_n + sampler._FIRST_WINDOW)
+
+
+@settings(max_examples=40, deadline=None)
+@example(validate({0: 1}), 0, 1)
+@example(validate({0: 3, 1: 2, 3: 1}), 1, 2)
+@example(validate({0: 4, 2: 2}), 2, 1)
+@example(validate({0: 300, 2: 2}), 3, 2)
+@given(degree_sequences(), st.integers(0, 2**32), st.sampled_from([1, 2, 4096]))
+def test_walk_statistics_matches_full_walk_reference(s, seed, first_window):
+    # Small first windows make the doubling windows break at many points at small n.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler, "_FIRST_WINDOW", first_window)
+        _assert_matches_full_walk(s, seed)
+
+
+def test_walk_statistics_matches_full_walk_reference_at_1e6():
+    _assert_matches_full_walk(make_degree_sequence(geometric_profile(), 1_000_000, 125, seed=1), 17)
 
 
 def test_walk_statistics_per_tree_degrees():
