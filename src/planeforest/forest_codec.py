@@ -9,6 +9,7 @@ marked cyclic forests biject with coding walks by cutting at passage times.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -18,7 +19,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .degseq import DegreeSequence, degree_vector, validate
+from .degseq import DegreeSequence, degree_vector, loads, validate
 from .errors import MalformedBridge, TooLarge
 from .lattice_paths import (
     CodingWalk,
@@ -108,17 +109,13 @@ def _json_lex(lex: np.ndarray, sizes: np.ndarray) -> Iterator[str]:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class PlaneForest:
-    """Nonempty sequence of plane trees.
+    """Nonempty sequence of plane trees, held as a tuple: the reference forest.
 
-    A forest made by ``_from_lex`` holds its trees' lex sequences laid end
-    to end in ``_lex`` and the tree sizes in ``_sizes`` (int64 arrays), and
-    builds ``trees`` from them on first read (see :class:`_LexForest`).
-    Equality, hashing and repr are those of ``trees`` either way.
+    ``_from_lex`` makes the array forest :class:`_LexForest` instead.
+    Equality, hashing and repr are those of ``trees`` for both.
     """
 
     trees: tuple[PlaneTree, ...]
-    _lex = None
-    _sizes = None
 
     def __post_init__(self):
         object.__setattr__(self, "trees", tuple(self.trees))
@@ -136,21 +133,17 @@ class PlaneForest:
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(lex, sizes) as int64 arrays."""
-        if self._lex is not None:
-            return self._lex, self._sizes
         lex = itertools.chain.from_iterable(t.lex for t in self.trees)
         sizes = (t.size for t in self.trees)
         return np.fromiter(lex, np.int64), np.fromiter(sizes, np.int64, len(self.trees))
 
     def _last_tree(self) -> tuple[int, int]:
         """(index, size) of the last tree."""
-        if self._sizes is None:
-            return len(self.trees) - 1, self.trees[-1].size
-        return len(self._sizes) - 1, int(self._sizes[-1])
+        return len(self.trees) - 1, self.trees[-1].size
 
     @property
     def size(self) -> int:
-        return sum(t.size for t in self.trees) if self._lex is None else self._lex.size
+        return sum(t.size for t in self.trees)
 
     def degree_sequence(self) -> DegreeSequence:
         counts = np.bincount(self._arrays()[0])
@@ -201,7 +194,7 @@ class PlaneForest:
 
     @staticmethod
     def from_json(text: str) -> "PlaneForest":
-        obj = json.loads(text)
+        obj = loads(text)
         if not isinstance(obj, dict) or not isinstance(obj.get("trees"), list):
             raise MalformedBridge('forest JSON must be an object with a "trees" list')
         if any(isinstance(d, bool) for t in obj["trees"] if isinstance(t, list) for d in t):
@@ -210,19 +203,26 @@ class PlaneForest:
 
 
 class _LexForest(PlaneForest):
-    """A forest made by ``PlaneForest._from_lex``.  Its ``trees`` is built
-    from the arrays on first read and stored in the instance, where later
-    reads find it.  The ``__getattr__`` that does this lives here, not on
-    PlaneForest, so that forests built from trees keep CPython's specialized
-    attribute loads."""
+    """A forest made by ``PlaneForest._from_lex``: its trees' lex sequences
+    end to end in ``_lex`` and their sizes in ``_sizes`` (int64 arrays),
+    which answer size, degrees, the mark check and JSON; ``trees`` is built
+    on first read.  The property lives here, not on PlaneForest, so that
+    forests built from trees keep CPython's specialized attribute loads."""
 
-    def __getattr__(self, name):
-        if name != "trees":
-            raise AttributeError(f"'PlaneForest' object has no attribute {name!r}")
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._lex, self._sizes
+
+    def _last_tree(self) -> tuple[int, int]:
+        return len(self._sizes) - 1, int(self._sizes[-1])
+
+    @property
+    def size(self) -> int:
+        return self._lex.size
+
+    @functools.cached_property
+    def trees(self) -> tuple[PlaneTree, ...]:
         slices = np.split(self._lex, np.cumsum(self._sizes[:-1]))
-        trees = tuple(PlaneTree._unchecked(tuple(x.tolist())) for x in slices)
-        object.__setattr__(self, "trees", trees)
-        return trees
+        return tuple(PlaneTree._unchecked(tuple(x.tolist())) for x in slices)
 
 
 @dataclass(frozen=True)
@@ -250,7 +250,7 @@ class MarkedCyclicForest:
 
 def dfw_encode(t: PlaneTree) -> FirstPassageBridge:
     """Depth-first walk of the tree: partial sums of lex degrees minus one."""
-    return FirstPassageBridge(walk_from_degrees(t.lex).values)
+    return FirstPassageBridge(tuple(itertools.accumulate((d - 1 for d in t.lex), initial=0)))
 
 
 def dfw_decode(b: LatticePath) -> PlaneTree:

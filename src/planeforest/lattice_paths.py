@@ -8,6 +8,7 @@ the shift at the first global minimum.
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 from dataclasses import dataclass
@@ -99,18 +100,12 @@ def walk_from_degrees(degrees: Sequence[int] | np.ndarray) -> CodingWalk:
 
 
 def cyclic_shift(b: LatticeBridge, k: int) -> LatticeBridge:
-    """Bridge b^(k): read b cyclically from position k, re-anchored at 0.
-
-    The path is extended by b(n+i) = -1 + b(i) before shifting, so the
-    result is again a bridge of the same length.
-    """
+    """Bridge b^(k): the increments of b read cyclically from position k, summed from 0."""
     n = b.n
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
-    v = b.values
-    ext = v + tuple(-1 + x for x in v[1:])
-    out = tuple(ext[k + i] - ext[k] for i in range(n + 1))
-    return LatticeBridge(out)
+    inc = b.increments()
+    return LatticeBridge(tuple(itertools.accumulate(inc[k:] + inc[:k], initial=0)))
 
 
 def rotation_index(b: LatticeBridge) -> int:

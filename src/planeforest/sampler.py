@@ -80,9 +80,10 @@ class WalkStatistics:
     ``perm`` is the shuffled degree vector (O(n)); ``walk`` is its coding
     walk up to the end of the doubling window in which the walk first
     reaches -(c-1), at most min(n, 2 tau_n + 4096) steps and empty when
-    c = 1; ``boundaries`` are the ends of the c tree segments.  ``sizes``
-    lists tree sizes in marked-cyclic-forest order (the marked tree is
-    last); ``tau_n`` is the total size of the non-marked trees;
+    c = 1; ``boundaries`` are the ends of the c tree segments, each passage
+    time found in the window that reaches it.  ``sizes`` lists tree sizes
+    in marked-cyclic-forest order (the marked tree is last); ``tau_n`` is
+    the total size of the non-marked trees;
     ``largest_is_marked`` is the event that the marked tree is the strictly
     largest (ties count against, matching the earlier-tree tie rule).
     """
@@ -112,26 +113,29 @@ def _tree_boundaries(perm: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
 
     The walk is summed in windows of doubling length, each written into one
     buffer, until a window reaches -(c-1).  The first c-1 boundaries (1-based
-    step counts) are the first passage times of -1, ..., -(c-1) in that
-    prefix; the marked tree's lattice bridge may dip below -c early, so its
-    segment always ends at n.
+    step counts) are the first passage times of -1, ..., -(c-1), found in
+    each window from that window's own running minimum, so the search needs
+    no prefix-sized temporary.  The marked tree's lattice bridge may dip
+    below -c early, so its segment always ends at n.
     """
     n = len(perm)
     buf = np.empty(n, dtype=np.int64)
-    hi, low = 0, 0
-    while low > 1 - c:
+    bounds = np.full(c, n, dtype=np.int64)
+    hi, found = 0, 0  # the walk before step hi reaches -found and no lower level
+    while found < c - 1:
         lo, hi = hi, min(n, 2 * hi + _FIRST_WINDOW)
         window = buf[lo:hi]
         np.subtract(perm[lo:hi], 1, out=window)
         np.cumsum(window, out=window)
         if lo:
             window += buf[lo - 1]
-        low = window.min()
-    walk = buf[:hi]
-    depth = np.minimum.accumulate(walk)
-    np.negative(depth, out=depth)  # in place: one prefix-sized temporary fewer
-    bounds = np.searchsorted(depth, np.arange(1, c), side="left") + 1
-    return walk, np.append(bounds, n)
+        depth = np.minimum.accumulate(window)
+        np.negative(depth, out=depth)
+        reached = max(found, min(int(depth[-1]), c - 1))  # a window may stay above -found
+        bounds[found:reached] = np.searchsorted(depth, np.arange(found + 1, reached + 1)) + lo + 1
+        found = reached
+        del depth
+    return buf[:hi], bounds
 
 
 def walk_statistics(s: DegreeSequence, rng: np.random.Generator) -> WalkStatistics:

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .degseq import DegreeSequence, degree_vector, empirical, limit_sigma, make_degree_sequence
+from .degseq import DegreeSequence, empirical, limit_sigma, make_degree_sequence
 from .errors import EmptySample
 from .limit_sim import _erfc, tau_cdf, uncensored_limit_draws
 from .sampler import replicates, shuffle_degrees, substream
@@ -250,9 +250,9 @@ def experiment_concentration(p, n: int, cn: int, reps: int, seed: int) -> Experi
     t0 = time.perf_counter()
     s, _, _ = _setup(p, n, cn, reps, seed)
     p_i = s.counts.get(_CONC_DEGREE, 0) / n
-    base = (degree_vector(s) == _CONC_DEGREE).astype(np.int64)
     ms = np.arange(cn + 1, n + 1, dtype=float)
-    sup = lambda rep: np.abs(p_i - np.cumsum(substream(seed, rep).permutation(base))[cn:] / ms).max()
+    leaves = lambda rep: np.cumsum(shuffle_degrees(s, substream(seed, rep)) == _CONC_DEGREE)
+    sup = lambda rep: np.abs(p_i - leaves(rep)[cn:] / ms).max()
     sups = np.array(list(map(sup, range(reps))))
     stats: dict = {"p_i": p_i, "cn": cn, "exceedance": {}, "bound": {}}
     passed: dict = {}

@@ -32,7 +32,7 @@ from planeforest import (
 )
 from planeforest.errors import MalformedBridge, PlaneForestError, TooLarge
 from planeforest.forest_codec import enumerate_walks
-from small_cases import small_degree_sequences
+from small_cases import all_plane_trees, small_degree_sequences
 
 
 def test_plane_tree_validation():
@@ -77,6 +77,12 @@ def test_dfw_encode_known_tree():
     assert b.values == (0, 1, 0, -1)
     assert dfw_decode(b) == t
     assert t.lex == (2, 0, 0)
+
+
+def test_dfw_encode_matches_coding_walk_on_all_trees_n_le_8():
+    # The reference: the tree's lex sequence read as a coding walk of depth 1.
+    for t in all_plane_trees(8):
+        assert dfw_encode(t).values == walk_from_degrees(t.lex).values
 
 
 def test_dfw_decode_accepts_any_lattice_path():
@@ -207,6 +213,11 @@ def test_forest_from_json_rejects_malformed_json(text):
         PlaneForest.from_json(text)
 
 
+def test_forest_from_json_rejects_a_key_named_twice():
+    with pytest.raises(ValueError, match="same key twice"):
+        PlaneForest.from_json('{"trees": [[0]], "trees": [[0], [0]]}')
+
+
 def _whole_forest(lex, sizes):
     return PlaneForest._from_lex(lex, sizes)
 
@@ -312,8 +323,11 @@ def test_tuple_and_array_forests_agree():
     g = PlaneForest.from_json(f.to_json())  # built from tuples
     assert (g.size, g.degree_sequence()) == (f.size, f.degree_sequence())
     assert g.to_json() == f.to_json()
+    mark = (len(g.trees) - 1, 1)
+    assert MarkedCyclicForest(f, mark).to_json() == MarkedCyclicForest(g, mark).to_json()
     assert "trees" not in vars(f)  # nothing above built f's trees
     assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
+    assert f.trees is f.trees  # built once, then read from the instance
     m = sample_mcf(validate({0: 9, 1: 2, 2: 3, 3: 1}), substream(3, 0))
     n = MarkedCyclicForest(PlaneForest(m.forest.trees), m.mark)
     assert n == m and hash(n) == hash(m) and repr(n) == repr(m) and n.to_json() == m.to_json()

@@ -136,6 +136,30 @@ def test_rotation_lemma_small_lengths(n):
         assert hits == [rotation_index(b)]
 
 
+def _extended_path_shift(b, k):
+    """The reference shift: extend b by b(n + i) = -1 + b(i), read n steps from k."""
+    v = b.values
+    ext = v + tuple(-1 + x for x in v[1:])
+    return tuple(ext[k + i] - ext[k] for i in range(b.n + 1))
+
+
+def test_cyclic_shift_matches_extended_path_reference():
+    # Every bridge of length n <= 8, at every k.  Its increments plus one are
+    # n numbers >= 0 adding up to n - 1: the gaps between n - 1 bars placed
+    # among 2n - 2 slots.
+    bridges = shifts = 0
+    for n in range(1, 9):
+        for bars in itertools.combinations(range(2 * n - 2), n - 1):
+            edges = (-1, *bars, 2 * n - 2)
+            inc = [hi - lo - 2 for lo, hi in zip(edges, edges[1:])]
+            b = LatticeBridge(tuple(itertools.accumulate(inc, initial=0)))
+            bridges += 1
+            for k in range(1, n + 1):
+                assert cyclic_shift(b, k).values == _extended_path_shift(b, k)
+                shifts += 1
+    assert (bridges, shifts) == (4707, 35889)
+
+
 @given(
     st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=12).filter(
         lambda d: sum(d) < len(d)

@@ -3,6 +3,7 @@
 import collections
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -160,6 +161,22 @@ def test_walk_statistics_matches_full_walk_reference(s, seed, first_window):
 
 def test_walk_statistics_matches_full_walk_reference_at_1e6():
     _assert_matches_full_walk(make_degree_sequence(geometric_profile(), 1_000_000, 125, seed=1), 17)
+
+
+def test_walk_statistics_peak_memory_at_1e6():
+    # This replicate's walk first reaches -124 at tau_n = 787,212, so the walk
+    # prefix is all n steps; the passage search holds one window's running
+    # minimum at a time, never a prefix-sized one.
+    s = make_degree_sequence(geometric_profile(), 1_000_000, 125, seed=1)
+    walk_statistics(s, substream(1, 2))  # warm-up: first-call allocations
+    tracemalloc.start()
+    try:
+        ws = walk_statistics(s, substream(1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (ws.tau_n, len(ws.walk)) == (787_212, s.n)
+    assert peak < 21e6
 
 
 def test_walk_statistics_per_tree_degrees():
