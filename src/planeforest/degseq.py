@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -23,14 +23,24 @@ _GEOMETRIC_MAX_DEGREE = 64
 
 @dataclass(frozen=True)
 class DegreeSequence:
-    """Validated degree counts with derived node count n and tree count c."""
+    """Nonzero degree counts of some plane forest, in the order given, with
+    the node count n and tree count c derived from them."""
 
     counts: Mapping[int, int]
-    n: int
-    c: int
+    n: int = field(init=False)
+    c: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", dict(self.counts))
+        clean = {i: k for i, k in _degree_map(self.counts, _count, NotAForest).items() if k > 0}
+        n = sum(clean.values())
+        if n == 0:
+            raise EmptySequence("degree sequence has no nodes")
+        c = sum((1 - i) * k for i, k in clean.items())
+        if c <= 0:
+            raise NotAForest(f"tree count c(s) = {c} <= 0")
+        object.__setattr__(self, "counts", clean)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "c", c)
 
     def to_json(self) -> str:
         return json.dumps({"counts": {str(i): k for i, k in sorted(self.counts.items())}})
@@ -120,14 +130,7 @@ def profile_weights(p: Mapping) -> dict[int, float]:
 
 def validate(counts: Mapping[int, int]) -> DegreeSequence:
     """Check that ``counts`` is the degree sequence of some plane forest."""
-    clean = {i: k for i, k in _degree_map(counts, _count, NotAForest).items() if k > 0}
-    n = sum(clean.values())
-    if n == 0:
-        raise EmptySequence("degree sequence has no nodes")
-    c = sum((1 - i) * k for i, k in clean.items())
-    if c <= 0:
-        raise NotAForest(f"tree count c(s) = {c} <= 0")
-    return DegreeSequence(clean, n, c)
+    return DegreeSequence(counts)
 
 
 def degree_vector(s: DegreeSequence) -> np.ndarray:
@@ -177,6 +180,9 @@ def make_degree_sequence(p: Mapping[int, float], n: int, c_target: int,
     if not (1 <= c_target <= n):
         raise Infeasible(f"c_target={c_target} outside [1, {n}]")
 
+    top = n * max(weights.values())
+    if not (math.isfinite(total_w) and math.isfinite(top)):
+        raise ValueError(f"profile weights overflow a float: sum {total_w}, n * largest {top}")
     counts = {i: round(n * w / total_w) for i, w in weights.items()}
     counts = {i: k for i, k in counts.items() if k > 0}
     counts.setdefault(0, 0)
@@ -197,9 +203,7 @@ def make_degree_sequence(p: Mapping[int, float], n: int, c_target: int,
     for _ in range(budget):
         if c == c_target:
             break
-        if c > c_target:
-            if counts[0] <= 0:
-                raise Infeasible("no leaf available to lower c")
+        if c > c_target:  # c <= counts[0], so a leaf is left
             counts[0] -= 1
             counts[1] += 1
             c -= 1
@@ -207,11 +211,8 @@ def make_degree_sequence(p: Mapping[int, float], n: int, c_target: int,
             counts[1] -= 1
             counts[0] += 1
             c += 1
-        else:
-            high = [j for j, k in counts.items() if j >= 2 and k > 0]
-            if not high:
-                raise Infeasible("no node available to raise c")
-            j = min(high)
+        else:  # c < c_target <= n with no degree-1 node: some degree >= 2 is left
+            j = min(j for j, k in counts.items() if j >= 2 and k > 0)
             counts[j] -= 1
             counts[j - 1] = counts.get(j - 1, 0) + 1
             c += 1

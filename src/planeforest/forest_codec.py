@@ -9,6 +9,7 @@ marked cyclic forests biject with coding walks by cutting at passage times.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -121,6 +122,9 @@ class PlaneForest:
         object.__setattr__(self, "trees", tuple(self.trees))
         if not self.trees:
             raise MalformedBridge("forest must contain at least one tree")
+        for t in self.trees:
+            if not isinstance(t, PlaneTree):
+                raise MalformedBridge(f"forest entries must be PlaneTree, got {type(t).__name__}")
 
     def __eq__(self, other):
         return self.trees == other.trees if isinstance(other, PlaneForest) else NotImplemented
@@ -237,7 +241,12 @@ class MarkedCyclicForest:
     mark: tuple[int, int]
 
     def __post_init__(self):
-        ti, pos = self.mark
+        try:
+            ti, pos = self.mark
+            ti, pos = operator.index(ti), operator.index(pos)
+        except (TypeError, ValueError):
+            raise MalformedBridge(f"mark must be two integers, got {self.mark!r}") from None
+        object.__setattr__(self, "mark", (ti, pos))
         last, size = self.forest._last_tree()
         if ti != last:
             raise MalformedBridge("mark must lie in the last tree")
@@ -302,37 +311,29 @@ def walk_from_mcf(m: MarkedCyclicForest) -> CodingWalk:
     return concat_segments(segments)
 
 
-def _locate_node(f: PlaneForest, node: int) -> tuple[int, int]:
-    """Global 1-based lex index across trees -> (tree index, 1-based pos)."""
-    if not 1 <= node <= f.size:
-        raise ValueError(f"node {node} outside [1, {f.size}]")
-    acc = 0
-    for ti, t in enumerate(f.trees):
-        if node <= acc + t.size:
-            return ti, node - acc
-        acc += t.size
-    raise AssertionError("unreachable")
-
-
 def forest_to_mcf(f: PlaneForest, marked_node: int) -> MarkedCyclicForest:
-    """Rotate the trees so the marked node's tree comes last."""
-    ti, pos = _locate_node(f, marked_node)
-    trees = f.trees[ti + 1 :] + f.trees[: ti + 1]
-    return MarkedCyclicForest(PlaneForest(trees), (len(trees) - 1, pos))
+    """Rotate the trees so the marked node (global 1-based lex index) comes last."""
+    trees = f.trees
+    offsets = list(itertools.accumulate((t.size for t in trees), initial=0))
+    try:
+        node = operator.index(marked_node)
+    except TypeError:
+        raise ValueError(f"node {marked_node!r} is not an integer") from None
+    if not 1 <= node <= offsets[-1]:
+        raise ValueError(f"node {node} outside [1, {offsets[-1]}]")
+    ti = bisect.bisect_left(offsets, node) - 1  # offsets[ti] < node <= offsets[ti + 1]
+    rotated = trees[ti + 1 :] + trees[: ti + 1]
+    return MarkedCyclicForest(PlaneForest(rotated), (len(trees) - 1, node - offsets[ti]))
 
 
 def mcf_preimages(m: MarkedCyclicForest) -> list[tuple[PlaneForest, int]]:
     """All (forest, global mark) pairs mapping to m; exactly c of them."""
     trees = m.forest.trees
-    c = len(trees)
-    pos = m.mark[1]
-    out = []
-    for k in range(c):
-        rotated = trees[k:] + trees[:k]
-        # The marked tree sits at position c - 1 - k in the rotated forest.
-        before = sum(t.size for t in rotated[: c - 1 - k])
-        out.append((PlaneForest(rotated), before + pos))
-    return out
+    offsets = list(itertools.accumulate((t.size for t in trees), initial=0))
+    # Rotated to start at tree k, the marked (last) tree follows trees k..c-2,
+    # which hold offsets[c - 1] - offsets[k] nodes.
+    mark = offsets[-2] + m.mark[1]
+    return [(PlaneForest(trees[k:] + trees[:k]), mark - offsets[k]) for k in range(len(trees))]
 
 
 def count_mcf(s: DegreeSequence) -> int:

@@ -102,11 +102,10 @@ def metric_snapshot(g: CodingFunction, sample_times) -> FiniteMetricSpace:
     return FiniteMetricSpace(full[np.ix_(reps, reps)])
 
 
-def _depths(t: PlaneTree) -> np.ndarray:
-    """Depth of each node, in lex order."""
-    par = t.parents()
-    depth = [0] * t.size
-    for v in range(1, t.size):  # lex order guarantees parent index < child index
+def _depths(par: list[int]) -> np.ndarray:
+    """Depth of each node, in lex order, from its parent list ``PlaneTree.parents()``."""
+    depth = [0] * len(par)
+    for v in range(1, len(par)):  # lex order guarantees parent index < child index
         depth[v] = depth[par[v]] + 1
     return np.array(depth)
 
@@ -115,7 +114,7 @@ def tree_graph_metric(t: PlaneTree) -> FiniteMetricSpace:
     """Graph distances between the nodes of a plane tree, in lex order."""
     n = t.size
     par = t.parents()
-    depth = _depths(t)
+    depth = _depths(par)
     dist = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
@@ -141,7 +140,7 @@ def contour_function(t: PlaneTree) -> CodingFunction:
     depth(i) - depth(i+1) + 1 down-steps and one up-step; after the last
     node it walks back down to the root.
     """
-    d = _depths(t)
+    d = _depths(t.parents())
     down = np.append(d[:-1] - d[1:] + 1, d[-1])
     up = np.ones_like(down)
     up[-1] = 0
@@ -156,4 +155,4 @@ def first_visit_times(t: PlaneTree) -> np.ndarray:
     Before node i the contour has crossed the i edges to nodes 1..i: the
     depth(i) edges on the root path once, every other edge twice.
     """
-    return (2 * np.arange(t.size) - _depths(t)).astype(float)
+    return (2 * np.arange(t.size) - _depths(t.parents())).astype(float)

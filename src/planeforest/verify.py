@@ -249,6 +249,8 @@ def experiment_concentration(p, n: int, cn: int, reps: int, seed: int) -> Experi
     """
     t0 = time.perf_counter()
     s, _, _ = _setup(p, n, cn, reps, seed)
+    if n <= cn:  # no window size m in (cn, n]
+        raise ValueError(f"concentration needs n > cn, got n={n}, cn={cn}")
     p_i = s.counts.get(_CONC_DEGREE, 0) / n
     ms = np.arange(cn + 1, n + 1, dtype=float)
     leaves = lambda rep: np.cumsum(shuffle_degrees(s, substream(seed, rep)) == _CONC_DEGREE)

@@ -386,6 +386,12 @@ def test_missing_or_empty_arguments_are_invalid(capsys, argv):
      "--out", "out:o.json"),
     ("limit", "sample-tau", "--sigma", "1", "--count", "3", "--seed", "-1"),
     ("verify", "tau", "--n", "1000", "--reps", "2", "--seed", "-1"),
+    # n = cn = 1 is in the regime, but leaves no window size m in (cn, n].
+    ("verify", "concentration", "--n", "1", "--cn", "1", "--reps", "1", "--seed", "0"),
+    # Weights whose sum, or n times one of them, is past the largest float.
+    ("degseq", "make", "--p", '{"0": 1e308, "2": 1e308}', "--n", "10", "--c", "2"),
+    ("degseq", "make", "--p", '{"0": 1e308, "2": 1}', "--n", "10", "--c", "2"),
+    ("degseq", "make", "--p", "foo:1", "--n", "10", "--c", "2"),
 ], ids=["degrees_rank_above_c", "counts_not_a_mapping", "degseq_file_without_counts",
         "degseq_file_is_a_list", "tree_float_entries", "tree_negative_entry",
         "tree_nested_list", "bridge_float_entries", "bridge_nested_list",
@@ -403,7 +409,8 @@ def test_missing_or_empty_arguments_are_invalid(capsys, argv):
         "counts_leading_zero_key", "counts_underscore_key", "counts_space_key",
         "counts_repeated_json_key", "profile_repeated_json_key", "profile_leading_zero_key",
         "degseq_file_repeated_key", "profile_weight_negative", "sample_seed_negative",
-        "limit_seed_negative", "verify_seed_negative"])
+        "limit_seed_negative", "verify_seed_negative", "concentration_n_not_above_cn",
+        "profile_sum_overflows", "profile_share_overflows", "profile_unknown"])
 def test_malformed_inputs_are_invalid(tmp_path, capsys, argv):
     # "file:<text>" stands for the path of a file that holds <text>, and
     # "out:<name>" for the path tmp_path/<name>, which no invalid input may create.
@@ -420,7 +427,7 @@ def test_malformed_inputs_are_invalid(tmp_path, capsys, argv):
     assert code == EXIT_INVALID
     assert not any(path.exists() for path in outs)
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
     if "--top" in argv and int(argv[argv.index("--top") + 1]) < 1:
         assert "--top" in err
     if "--dt" in argv:
@@ -435,6 +442,12 @@ def test_malformed_inputs_are_invalid(tmp_path, capsys, argv):
         assert "weight of degree 3" in err
     if "--seed" in argv and int(argv[argv.index("--seed") + 1]) < 0:
         assert "--seed" in err
+    if argv[:2] == ("verify", "concentration") and "1" == argv[argv.index("--n") + 1]:
+        assert "n > cn, got n=1, cn=1" in err
+    if any(arg.startswith('{"0": 1e308') for arg in argv):
+        assert "profile weights overflow" in err
+    if "foo:1" in argv:
+        assert "unknown profile 'foo:1'" in err
 
 
 @pytest.mark.parametrize("ratio", ["2", "-0.5", "0", "1", "nan", "inf"])

@@ -331,3 +331,92 @@ def test_tuple_and_array_forests_agree():
     m = sample_mcf(validate({0: 9, 1: 2, 2: 3, 3: 1}), substream(3, 0))
     n = MarkedCyclicForest(PlaneForest(m.forest.trees), m.mark)
     assert n == m and hash(n) == hash(m) and repr(n) == repr(m) and n.to_json() == m.to_json()
+
+
+# The parent versions of forest_to_mcf and mcf_preimages, kept here as the
+# reference: a linear scan for the marked node and a re-summed offset per rotation.
+def _reference_locate_node(f, node):
+    if not 1 <= node <= f.size:
+        raise ValueError(f"node {node} outside [1, {f.size}]")
+    acc = 0
+    for ti, t in enumerate(f.trees):
+        if node <= acc + t.size:
+            return ti, node - acc
+        acc += t.size
+    raise AssertionError("unreachable")
+
+
+def _reference_forest_to_mcf(f, marked_node):
+    ti, pos = _reference_locate_node(f, marked_node)
+    trees = f.trees[ti + 1 :] + f.trees[: ti + 1]
+    return MarkedCyclicForest(PlaneForest(trees), (len(trees) - 1, pos))
+
+
+def _reference_mcf_preimages(m):
+    trees = m.forest.trees
+    c = len(trees)
+    out = []
+    for k in range(c):
+        rotated = trees[k:] + trees[:k]
+        before = sum(t.size for t in rotated[: c - 1 - k])
+        out.append((PlaneForest(rotated), before + m.mark[1]))
+    return out
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_rotations_match_the_reference_on_all_mcfs_n_le_7():
+    mcfs = 0
+    for s in small_degree_sequences(7):
+        for m in enumerate_mcfs(s, cap=7):
+            mcfs += 1
+            assert mcf_preimages(m) == _reference_mcf_preimages(m)
+            for node in range(s.n + 2):  # 0 and n + 1 lie outside the forest
+                got = _outcome(forest_to_mcf, m.forest, node)
+                assert got == _outcome(_reference_forest_to_mcf, m.forest, node)
+    assert mcfs == sum(count_mcf(s) for s in small_degree_sequences(7))
+
+
+def test_mcf_mark_is_stored_as_a_tuple_of_ints():
+    f = PlaneForest((PlaneTree((1, 0)),))
+    m = MarkedCyclicForest(f, [0, np.int64(1)])
+    assert type(m.mark) is tuple and list(map(type, m.mark)) == [int, int]
+    assert m == MarkedCyclicForest(f, (0, 1)) and hash(m) == hash(MarkedCyclicForest(f, (0, 1)))
+    assert m.to_json() == '{"trees": [[1, 0]], "mark": [0, 1]}'
+
+
+@pytest.mark.parametrize("mark", [(0.0, 1.0), (0, 1.5), (0,), (0, 1, 1), 5, "01", None])
+def test_mcf_rejects_a_mark_that_is_not_two_integers(mark):
+    f = PlaneForest((PlaneTree((1, 0)),))
+    with pytest.raises(MalformedBridge, match="mark must be two integers"):
+        MarkedCyclicForest(f, mark)
+
+
+@pytest.mark.parametrize("entry", [[0], (0,), None])
+def test_forest_rejects_entries_that_are_not_trees(entry):
+    with pytest.raises(MalformedBridge, match="forest entries must be PlaneTree"):
+        PlaneForest([PlaneTree((0,)), entry])
+
+
+def test_forest_to_mcf_names_a_node_that_is_not_an_integer():
+    f = PlaneForest((PlaneTree((0,)), PlaneTree((1, 0))))
+    with pytest.raises(ValueError, match="node 1.5 is not an integer"):
+        forest_to_mcf(f, 1.5)
+    assert forest_to_mcf(f, np.int64(3)) == forest_to_mcf(f, 3)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: PlaneForest(()), MalformedBridge, "at least one tree"),
+    (lambda: PlaneForest._from_lex(np.array([1, 0, 0]), np.array([1, 1])), ValueError,
+     "tree sizes add up to 2, not 3"),
+    (lambda: list(enumerate_mcfs(validate({0: 6, 2: 5}))), TooLarge, "n=11 exceeds"),
+    (lambda: list(enumerate_mcfs(validate({0: 4, 2: 2}), cap=5)), TooLarge, "cap 5"),
+], ids=["empty_forest", "sizes_short_of_lex", "mcf_cap_default", "mcf_cap_given"])
+def test_codec_names_what_it_cannot_build(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

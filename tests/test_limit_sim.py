@@ -347,3 +347,9 @@ def test_censored_streamed_draw_holds_one_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 3e6
+
+
+@pytest.mark.parametrize("top_j", [0, -2])
+def test_sample_limit_vector_needs_a_rank(top_j):
+    with pytest.raises(DomainError, match=f"need top_j >= 1, got top_j={top_j}"):
+        sample_limit_vector(1.0, top_j, 1e-2, rng_from_seed(1))

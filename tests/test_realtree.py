@@ -141,3 +141,19 @@ def test_random_coding_snapshots_are_pseudometrics():
         snap = metric_snapshot(g, rng.uniform(0.0, 1.0, size=6))
         # constructor re-checks symmetry/triangle; verify four-point on top
         assert four_point_holds(snap.dist)
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: CodingFunction([0.0, 1.0], [0.0]), "equal-length 1-d arrays"),
+    (lambda: CodingFunction([[0.0]], [[0.0]]), "equal-length 1-d arrays"),
+    (lambda: CodingFunction([], []), "equal-length 1-d arrays"),
+    (lambda: CodingFunction([0.0, 1.0], [1.0, 0.0]), "start at"),
+    (lambda: CodingFunction([0.0, 1.0, 1.0], [0.0, 1.0, 0.0]), "strictly increasing"),
+    (lambda: CodingFunction([0.0, 1.0], [0.0, -1.0]), "nonnegative"),
+    (lambda: FiniteMetricSpace(np.zeros((2, 3))), "must be square"),
+    (lambda: FiniteMetricSpace(np.zeros(3)), "must be square"),
+], ids=["lengths_differ", "two_dimensional", "empty", "not_at_origin", "repeated_time",
+        "negative_value", "not_square", "one_dimensional"])
+def test_coding_functions_and_metrics_name_what_is_wrong(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()

@@ -237,3 +237,33 @@ def test_experiments_reject_cn_above_n_to_the_04(run):
     for cn in (16, 0):
         with pytest.raises(ValueError, match=f"cn={cn} outside the supercritical"):
             run(geometric_profile(), cn)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: ks_one_sample([], norm.cdf), EmptySample, "no samples"),
+    (lambda: experiment_walk(geometric_profile(), 1, 1, 2, seed=1), ValueError,
+     r"t \* cn\^2 exceeds n"),
+    (lambda: experiment_concentration(geometric_profile(), 1, 1, 1, seed=0), ValueError,
+     "n > cn, got n=1, cn=1"),
+], ids=["ks_no_samples", "walk_time_beyond_n", "concentration_no_window"])
+def test_statistics_name_what_they_cannot_compute(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_experiment_concentration_rejects_n_at_most_cn_before_drawing(monkeypatch):
+    # At n = cn = 1 the sup over window sizes m in (cn, n] has no term.
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a replicate was drawn")
+
+    monkeypatch.setattr(verify, "shuffle_degrees", no_draws)
+    with pytest.raises(ValueError, match="concentration needs n > cn, got n=1, cn=1"):
+        experiment_concentration(geometric_profile(), 1, 1, 3, seed=0)
+
+
+def test_experiment_tau_degenerate_at_one_tree():
+    # With c = 1 the whole forest is the marked tree: tau_n and the small mass are 0.
+    rep = experiment_tau(geometric_profile(), 1000, 1, 3, seed=1)
+    assert rep.stats == {"degenerate": True, "sigma": rep.stats["sigma"]}
+    assert rep.passed == {"degenerate_tau_zero": True}
+    assert rep.ok
