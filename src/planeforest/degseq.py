@@ -173,6 +173,9 @@ def make_degree_sequence(p: Mapping[int, float], n: int, c_target: int,
     ``p`` maps each degree to its weight, as ``profile_weights`` reads it.
     """
     del seed
+    for name, x in (("n", n), ("c_target", c_target)):
+        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {x!r}")
     weights = profile_weights(p)
     total_w = sum(weights.values())
     if total_w <= 0:

@@ -47,14 +47,12 @@ class PlaneTree:
         except TypeError as exc:
             raise MalformedBridge(f"lex entries must be integer degrees: {exc}") from None
         object.__setattr__(self, "lex", lex)
-        if min(lex, default=0) < 0:
+        if lex and min(lex) < 0:
             raise MalformedBridge("lex sequence has a negative degree")
-        bal = 0
-        for i, d in enumerate(lex):
-            bal += d - 1
-            if bal < 0 and i < len(lex) - 1:
-                raise MalformedBridge("lex sequence closes the tree early")
-        if bal != -1:
+        # Nodes 0..i close the tree when their degrees add up to i; only the last may.
+        if any(map(operator.lt, itertools.accumulate(lex), range(1, len(lex)))):
+            raise MalformedBridge("lex sequence closes the tree early")
+        if sum(lex) != len(lex) - 1:
             raise MalformedBridge("lex sequence does not close the tree")
 
     @classmethod
@@ -247,6 +245,8 @@ class MarkedCyclicForest:
         except (TypeError, ValueError):
             raise MalformedBridge(f"mark must be two integers, got {self.mark!r}") from None
         object.__setattr__(self, "mark", (ti, pos))
+        if not isinstance(self.forest, PlaneForest):
+            raise MalformedBridge(f"forest must be a PlaneForest, got {type(self.forest).__name__}")
         last, size = self.forest._last_tree()
         if ti != last:
             raise MalformedBridge("mark must lie in the last tree")
@@ -259,7 +259,8 @@ class MarkedCyclicForest:
 
 def dfw_encode(t: PlaneTree) -> FirstPassageBridge:
     """Depth-first walk of the tree: partial sums of lex degrees minus one."""
-    return FirstPassageBridge(tuple(itertools.accumulate((d - 1 for d in t.lex), initial=0)))
+    steps = map(operator.sub, t.lex, itertools.repeat(1))
+    return FirstPassageBridge(tuple(itertools.accumulate(steps, initial=0)))
 
 
 def dfw_decode(b: LatticePath) -> PlaneTree:
@@ -267,7 +268,9 @@ def dfw_decode(b: LatticePath) -> PlaneTree:
 
     PlaneTree checks the first-passage rule and raises MalformedBridge.
     """
-    return PlaneTree(tuple(x + 1 for x in b.increments()))
+    v = b.values  # degree i is v[i + 1] - (v[i] - 1)
+    below = map(operator.sub, v, itertools.repeat(1))
+    return PlaneTree(tuple(map(operator.sub, itertools.islice(v, 1, None), below)))
 
 
 def marked_tree_from_bridge(b: LatticeBridge) -> tuple[PlaneTree, int]:

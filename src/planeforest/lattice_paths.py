@@ -4,6 +4,11 @@ Bridges end at -1; a first-passage bridge stays nonnegative before its
 endpoint.  The rotation lemma (a variant of the cycle lemma) says every
 bridge has exactly one cyclic shift that is a first-passage bridge, namely
 the shift at the first global minimum.
+
+Each check below is one pass of built-in iterators (``map``, ``itertools``,
+``tuple.index``), with no Python loop per step and no temporary as long
+as the path.  Since every step is >= -1, a path first goes below -j + 1
+where it first equals -j, so ``tuple.index`` finds passage times.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,9 +38,8 @@ class LatticePath:
         object.__setattr__(self, "values", v)
         if not v or v[0] != 0:
             raise MalformedBridge("path must start at 0")
-        for a, b in zip(v, v[1:]):
-            if b - a < -1:
-                raise MalformedBridge("downward step larger than 1")
+        if len(v) > 1 and min(map(operator.sub, itertools.islice(v, 1, None), v)) < -1:
+            raise MalformedBridge("downward step larger than 1")
 
     @property
     def n(self) -> int:
@@ -43,7 +47,7 @@ class LatticePath:
 
     def increments(self) -> tuple[int, ...]:
         v = self.values
-        return tuple(v[i + 1] - v[i] for i in range(len(v) - 1))
+        return tuple(map(operator.sub, itertools.islice(v, 1, None), v))
 
     def to_json(self) -> str:
         return json.dumps(list(self.values))
@@ -65,7 +69,8 @@ class FirstPassageBridge(LatticeBridge):
 
     def __post_init__(self):
         super().__post_init__()
-        if min(self.values[:-1], default=0) < 0:
+        v = self.values  # its first value below 0 is -1, as steps are >= -1
+        if v.index(-1) < len(v) - 1:
             raise MalformedBridge("hits -1 before the endpoint")
 
 
@@ -83,20 +88,23 @@ class CodingWalk(LatticePath):
         return -self.values[-1]
 
 
+def _shifted(v: tuple[int, ...], start: int, stop: int | None, by: int) -> Iterator[int]:
+    """x + by for each x in v[start:stop]."""
+    return map(operator.add, itertools.islice(v, start, stop), itertools.repeat(by))
+
+
 def walk_from_degrees(degrees: Sequence[int] | np.ndarray) -> CodingWalk:
     """Partial-sum walk W(j) = sum_{i<=j} (degrees[i] - 1)."""
     try:
-        degs = list(map(operator.index, degrees))
+        degs = tuple(map(operator.index, degrees))
     except TypeError as exc:
         raise NotAWalk(f"degrees must be integers: {exc}") from None
-    if any(d < 0 for d in degs):
+    if degs and min(degs) < 0:
         raise NotAWalk("degrees must be nonnegative")
-    values = [0]
-    for d in degs:
-        values.append(values[-1] + d - 1)
+    values = tuple(itertools.accumulate(map(operator.sub, degs, itertools.repeat(1)), initial=0))
     if values[-1] >= 0:
         raise NotAWalk(f"walk ends at {values[-1]} >= 0")
-    return CodingWalk(tuple(values))
+    return CodingWalk(values)
 
 
 def cyclic_shift(b: LatticeBridge, k: int) -> LatticeBridge:
@@ -128,17 +136,13 @@ def split_at_passage_times(w: CodingWalk) -> list[LatticeBridge]:
     lattice bridge.  Each segment is re-anchored to start at 0.
     """
     v = w.values
-    k = w.k
     segments: list[LatticeBridge] = []
     start = 0
-    level = 0
-    for j in range(1, k):
-        t = next(i for i in range(start, len(v)) if v[i] <= -j)
-        seg = tuple(x - level for x in v[start : t + 1])
-        segments.append(FirstPassageBridge(seg))
-        start, level = t, v[t]
-    seg = tuple(x - level for x in v[start:])
-    segments.append(LatticeBridge(seg))
+    for j in range(1, w.k):
+        t = v.index(-j, start)  # first passage to -j; v[start] = -(j - 1)
+        segments.append(FirstPassageBridge(tuple(_shifted(v, start, t + 1, j - 1))))
+        start = t
+    segments.append(LatticeBridge(tuple(_shifted(v, start, None, w.k - 1))))
     return segments
 
 
@@ -146,6 +150,5 @@ def concat_segments(segments: Iterable[LatticeBridge]) -> CodingWalk:
     """Inverse of :func:`split_at_passage_times`."""
     values = [0]
     for seg in segments:
-        base = values[-1]
-        values.extend(base + x for x in seg.values[1:])
+        values.extend(_shifted(seg.values, 1, None, values[-1]))
     return CodingWalk(tuple(values))

@@ -44,15 +44,7 @@ class CodingFunction:
 
     def window_min(self, a: float, b: float) -> float:
         """Exact minimum of g on [a, b] (linear interpolation between knots)."""
-        if a > b:
-            a, b = b, a
-        lo = float(np.interp(a, self.times, self.values))
-        hi = float(np.interp(b, self.times, self.values))
-        m = min(lo, hi)
-        inside = (self.times > a) & (self.times < b)
-        if inside.any():
-            m = min(m, float(self.values[inside].min()))
-        return m
+        return float(_window_mins(self, [a, b], [0], [1])[1][0])
 
 
 @dataclass(frozen=True)
@@ -77,9 +69,28 @@ class FiniteMetricSpace:
         return self.dist.shape[0]
 
 
+def _window_mins(g: CodingFunction, x, i, j) -> tuple[np.ndarray, np.ndarray]:
+    """g at the times ``x``, and the exact minimum of g between x[i[k]] and x[j[k]] for each k.
+
+    The minimum over a window is that of g at its two ends and at the knots
+    strictly inside it.  Those knots are one index range per window; each
+    range's minimum is one entry of a ``np.minimum.reduceat`` over the knot
+    values, so the work is O(len(i) + len(x) + knots) in one batch.
+    """
+    x = np.asarray(x, dtype=float)
+    gx = np.interp(x, g.times, g.values)
+    a, b = np.minimum(x[i], x[j]), np.maximum(x[i], x[j])
+    lo, hi = np.searchsorted(g.times, a, "right"), np.searchsorted(g.times, b, "left")
+    # Even entries reduce values[lo:hi] when lo < hi; the appended inf keeps
+    # an index equal to the knot count in range.
+    knots = np.minimum.reduceat(np.append(g.values, np.inf), np.column_stack((lo, hi)).ravel())[::2]
+    return gx, np.minimum(np.minimum(gx[i], gx[j]), np.where(lo < hi, knots, np.inf))
+
+
 def coding_pseudometric(g: CodingFunction, s: float, t: float) -> float:
     """d(s, t) = g(s) + g(t) - 2 * min of g between s and t."""
-    return g(s) + g(t) - 2.0 * g.window_min(s, t)
+    gx, low = _window_mins(g, [s, t], [0], [1])
+    return float(gx[0] + gx[1] - 2.0 * low[0])
 
 
 def metric_snapshot(g: CodingFunction, sample_times) -> FiniteMetricSpace:
@@ -91,9 +102,9 @@ def metric_snapshot(g: CodingFunction, sample_times) -> FiniteMetricSpace:
     times = list(sample_times)
     m = len(times)
     full = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            full[i, j] = full[j, i] = coding_pseudometric(g, times[i], times[j])
+    left, right = np.triu_indices(m, 1)
+    gx, low = _window_mins(g, times, left, right)
+    full[left, right] = full[right, left] = gx[left] + gx[right] - 2.0 * low
     # Quotient: keep one sample time per class at coding distance ~0.
     reps: list[int] = []
     for i in range(m):
@@ -114,20 +125,15 @@ def tree_graph_metric(t: PlaneTree) -> FiniteMetricSpace:
     """Graph distances between the nodes of a plane tree, in lex order."""
     n = t.size
     par = t.parents()
-    depth = _depths(par)
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = i, j
-            da, db = depth[a], depth[b]
-            while da > db:
-                a, da = par[a], da - 1
-            while db > da:
-                b, db = par[b], db - 1
-            while a != b:
-                a, b = par[a], par[b]
-                da -= 1
-            dist[i, j] = dist[j, i] = depth[i] + depth[j] - 2 * da
+    size = [1] * n  # subtree sizes; v's subtree is lex nodes v .. v + size[v] - 1
+    for v in range(n - 1, 0, -1):
+        size[par[v]] += size[v]
+    dist = np.empty((n, n))
+    dist[0] = _depths(par)
+    for v in range(1, n):
+        # From v's parent to v: one step nearer v's subtree, one further from the rest.
+        dist[v] = dist[par[v]] + 1.0
+        dist[v, v : v + size[v]] -= 2.0
     return FiniteMetricSpace(dist)
 
 

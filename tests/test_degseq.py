@@ -339,3 +339,16 @@ def test_make_degree_sequence_repairs_the_total_then_lowers_a_degree():
 def test_make_degree_sequence_names_what_it_cannot_build(p, n, c_target, error, match):
     with pytest.raises(error, match=match):
         make_degree_sequence(p, n, c_target)
+
+
+@pytest.mark.parametrize("n, c_target, name", [
+    (10.5, 2, "n"), (10.0, 2, "n"), (True, 1, "n"), ("10", 2, "n"), (None, 2, "n"),
+    (10, 2.5, "c_target"), (10, 2.0, "c_target"), (10, True, "c_target"),
+    (10, np.float64(2), "c_target"),
+], ids=["n_fraction", "n_integral_float", "n_bool", "n_string", "n_none",
+        "c_fraction", "c_integral_float", "c_bool", "c_numpy_float"])
+def test_make_degree_sequence_names_a_size_that_is_not_an_integer(n, c_target, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        make_degree_sequence({0: 0.5, 2: 0.5}, n, c_target)
+    s = make_degree_sequence({0: 0.5, 2: 0.5}, np.int64(10), np.int32(2))
+    assert s == make_degree_sequence({0: 0.5, 2: 0.5}, 10, 2)

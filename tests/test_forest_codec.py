@@ -397,6 +397,14 @@ def test_mcf_rejects_a_mark_that_is_not_two_integers(mark):
         MarkedCyclicForest(f, mark)
 
 
+@pytest.mark.parametrize("forest", [[PlaneTree((0,))], (PlaneTree((0,)),), PlaneTree((0,)), None],
+                         ids=["list", "tuple", "tree", "none"])
+def test_mcf_rejects_a_forest_that_is_not_a_plane_forest(forest):
+    name = type(forest).__name__
+    with pytest.raises(MalformedBridge, match=f"forest must be a PlaneForest, got {name}$"):
+        MarkedCyclicForest(forest, (0, 1))
+
+
 @pytest.mark.parametrize("entry", [[0], (0,), None])
 def test_forest_rejects_entries_that_are_not_trees(entry):
     with pytest.raises(MalformedBridge, match="forest entries must be PlaneTree"):

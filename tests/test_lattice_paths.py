@@ -1,6 +1,7 @@
 """Lattice bridges, cyclic shifts, and the rotation lemma."""
 
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from planeforest import (
     FirstPassageBridge,
     LatticeBridge,
     LatticePath,
+    PlaneTree,
     cyclic_shift,
     is_first_passage,
     rotation_index,
@@ -173,3 +175,136 @@ def test_rotation_lemma_random_degree_walks(degrees):
     r = rotation_index(b)
     assert is_first_passage(cyclic_shift(b, r))
     assert sum(is_first_passage(cyclic_shift(b, k)) for k in range(1, b.n + 1)) == 1
+
+
+# Loop-based copies of the checks, as they were before each became one pass
+# of built-in iterators.  Each returns the checked tuple.
+def _reference_path(values):
+    try:
+        v = tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise MalformedBridge(f"path values must be integers: {exc}") from None
+    if not v or v[0] != 0:
+        raise MalformedBridge("path must start at 0")
+    for a, b in zip(v, v[1:]):
+        if b - a < -1:
+            raise MalformedBridge("downward step larger than 1")
+    return v
+
+
+def _reference_bridge(values):
+    v = _reference_path(values)
+    if v[-1] != -1:
+        raise MalformedBridge("bridge must end at -1")
+    return v
+
+
+def _reference_first_passage_bridge(values):
+    v = _reference_bridge(values)
+    if min(v[:-1], default=0) < 0:
+        raise MalformedBridge("hits -1 before the endpoint")
+    return v
+
+
+def _reference_coding_walk(values):
+    v = _reference_path(values)
+    if v[-1] >= 0:
+        raise MalformedBridge("coding walk must end strictly below 0")
+    return v
+
+
+def _reference_tree(lex):
+    try:
+        lex = tuple(map(operator.index, lex))
+    except TypeError as exc:
+        raise MalformedBridge(f"lex entries must be integer degrees: {exc}") from None
+    if min(lex, default=0) < 0:
+        raise MalformedBridge("lex sequence has a negative degree")
+    bal = 0
+    for i, d in enumerate(lex):
+        bal += d - 1
+        if bal < 0 and i < len(lex) - 1:
+            raise MalformedBridge("lex sequence closes the tree early")
+    if bal != -1:
+        raise MalformedBridge("lex sequence does not close the tree")
+    return lex
+
+
+def _reference_walk_from_degrees(degrees):
+    try:
+        degs = list(map(operator.index, degrees))
+    except TypeError as exc:
+        raise NotAWalk(f"degrees must be integers: {exc}") from None
+    if any(d < 0 for d in degs):
+        raise NotAWalk("degrees must be nonnegative")
+    values = [0]
+    for d in degs:
+        values.append(values[-1] + d - 1)
+    if values[-1] >= 0:
+        raise NotAWalk(f"walk ends at {values[-1]} >= 0")
+    return _reference_coding_walk(tuple(values))
+
+
+def _reference_split(values):
+    v, k = values, -values[-1]
+    segments, start, level = [], 0, 0
+    for j in range(1, k):
+        t = next(i for i in range(start, len(v)) if v[i] <= -j)
+        segments.append(_reference_first_passage_bridge(tuple(x - level for x in v[start : t + 1])))
+        start, level = t, v[t]
+    segments.append(_reference_bridge(tuple(x - level for x in v[start:])))
+    return segments
+
+
+def _checked(f, x):
+    """f's output tuple, or a list of the type and message of the exception it raised."""
+    try:
+        return f(x)
+    except Exception as exc:
+        return [type(exc), str(exc)]
+
+
+_CHECKS = {
+    "LatticePath": (lambda x: LatticePath(x).values, _reference_path),
+    "LatticeBridge": (lambda x: LatticeBridge(x).values, _reference_bridge),
+    "FirstPassageBridge": (lambda x: FirstPassageBridge(x).values, _reference_first_passage_bridge),
+    "CodingWalk": (lambda x: CodingWalk(x).values, _reference_coding_walk),
+    "PlaneTree": (lambda x: PlaneTree(x).lex, _reference_tree),
+    "walk_from_degrees": (lambda x: walk_from_degrees(x).values, _reference_walk_from_degrees),
+}
+_GRID = [t for n in range(7) for t in itertools.product(range(-2, 4), repeat=n)]
+_ODD_INPUTS = [
+    (), (0,), (-1,), (True, False), (0, True, False, -1), (False, -1), (1, 1.0, 0),
+    (0, 1.5, 0, -1), (0, 1.0, 0, -1), ([0], -1), ("0", -1), "0", b"\x00", None, 5, 1.5,
+    (0, None), np.array([0, 1, 0, -1]), np.array([2, 0, 0]), np.array([0.0, -1.0]),
+    (np.int64(0), np.uint8(1), np.int32(0), np.int8(-1)), (2**70, 0), (0, -(2**70)),
+]
+
+
+@pytest.mark.parametrize("name", list(_CHECKS))
+def test_checks_match_the_loop_reference(name):
+    # Every tuple of length 0-6 with entries in -2..3, plus non-integer, bool
+    # and empty inputs: the same output, or the same exception and message.
+    check, reference = _CHECKS[name]
+    assert len(_GRID) == 55987
+    for x in _GRID + _ODD_INPUTS:
+        got, want = _checked(check, x), _checked(reference, x)
+        assert got == want, x
+        assert type(got) is not tuple or all(type(d) is int for d in got)
+
+
+def test_split_matches_the_loop_reference():
+    # The walk of every degree tuple of length 1-7 with entries in 0..3 and
+    # a sum below its length.
+    walks = 0
+    for n in range(1, 8):
+        for degrees in itertools.product(range(4), repeat=n):
+            if sum(degrees) >= n:
+                continue
+            w = walk_from_degrees(degrees)
+            walks += 1
+            segments = split_at_passage_times(w)
+            assert [s.values for s in segments] == _reference_split(w.values)
+            assert [type(s) for s in segments] == [FirstPassageBridge] * (w.k - 1) + [LatticeBridge]
+            assert concat_segments(segments).values == w.values
+    assert walks == 2054

@@ -1,5 +1,7 @@
 """Coding functions, contour codings of plane trees, and metric snapshots."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -157,3 +159,107 @@ def test_random_coding_snapshots_are_pseudometrics():
 def test_coding_functions_and_metrics_name_what_is_wrong(make, match):
     with pytest.raises(ValueError, match=match):
         make()
+
+
+# Pair-by-pair copies of the snapshot and the graph metric, as they were
+# before the snapshot took all pairs in one batch.
+def _reference_window_min(g, a, b):
+    if a > b:
+        a, b = b, a
+    lo = float(np.interp(a, g.times, g.values))
+    hi = float(np.interp(b, g.times, g.values))
+    m = min(lo, hi)
+    inside = (g.times > a) & (g.times < b)
+    if inside.any():
+        m = min(m, float(g.values[inside].min()))
+    return m
+
+
+def _reference_pseudometric(g, s, t):
+    return g(s) + g(t) - 2.0 * _reference_window_min(g, s, t)
+
+
+def _reference_snapshot(g, sample_times):
+    times = list(sample_times)
+    m = len(times)
+    full = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            full[i, j] = full[j, i] = _reference_pseudometric(g, times[i], times[j])
+    reps = []
+    for i in range(m):
+        if not any(full[i, r] <= 1e-12 for r in reps):
+            reps.append(i)
+    return full[np.ix_(reps, reps)]
+
+
+def _reference_graph_metric(t):
+    n = t.size
+    par = t.parents()
+    depth = [0] * n
+    for v in range(1, n):
+        depth[v] = depth[par[v]] + 1
+    dist = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = i, j
+            da, db = depth[a], depth[b]
+            while da > db:
+                a, da = par[a], da - 1
+            while db > da:
+                b, db = par[b], db - 1
+            while a != b:
+                a, b = par[a], par[b]
+                da -= 1
+            dist[i, j] = dist[j, i] = depth[i] + depth[j] - 2 * da
+    return dist
+
+
+def test_snapshot_and_graph_metric_equal_the_pairwise_reference_on_all_trees_n_le_8():
+    trees = all_plane_trees(8)
+    assert len(trees) == 626
+    for t in trees:
+        g, times = contour_function(t), first_visit_times(t)
+        snap = metric_snapshot(g, times).dist
+        want = _reference_snapshot(g, times)
+        assert snap.shape == want.shape and (snap == want).all(), t.lex
+        assert (tree_graph_metric(t).dist == _reference_graph_metric(t)).all(), t.lex
+
+
+def test_snapshot_equals_the_pairwise_reference_on_random_coding_functions():
+    # Uneven knots; sample times uniform, on knots, repeated, and at both ends.
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        k = int(rng.integers(1, 40))
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1.0, size=k))])
+        walk = np.concatenate([[0.0], np.cumsum(rng.standard_normal(k))])
+        g = CodingFunction(times, walk - np.minimum.accumulate(walk))
+        sample = np.concatenate([
+            rng.uniform(0.0, times[-1], size=int(rng.integers(0, 6))),
+            rng.choice(times, size=int(rng.integers(0, 4))),
+            [0.0, times[-1]][: int(rng.integers(0, 3))],
+        ])
+        sample = rng.permutation(np.concatenate([sample, sample[: int(rng.integers(0, 2))]]))
+        if len(sample) == 0:
+            continue
+        want = _reference_snapshot(g, sample)
+        snap = metric_snapshot(g, sample).dist
+        assert snap.shape == want.shape and (snap == want).all()
+        for s, t in zip(sample, sample[::-1]):
+            assert coding_pseudometric(g, s, t) == _reference_pseudometric(g, s, t)
+            assert g.window_min(s, t) == _reference_window_min(g, s, t)
+
+
+def test_snapshot_memory_is_linear_in_the_knots():
+    # Pairs x knots booleans would be 190 * 1e5 bytes, about 19 MB per mask.
+    rng = np.random.default_rng(12)
+    walk = np.concatenate([[0.0], np.cumsum(rng.standard_normal(100_000))])
+    g = CodingFunction(np.arange(100_001, dtype=float), walk - np.minimum.accumulate(walk))
+    sample = rng.uniform(0.0, 100_000.0, size=20)
+    tracemalloc.start()
+    try:
+        metric_snapshot(g, sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
