@@ -78,31 +78,41 @@ class PlaneTree:
 
 
 _BLOCK = 1 << 16  # nodes per block of to_json: bounds its temporaries
+_BRACKETS = np.frombuffer(b"][", dtype=np.uint8)
 
 
 def _json_lex(lex: np.ndarray, sizes: np.ndarray) -> Iterator[str]:
     """JSON text of the trees' lex lists, without the outermost "[[" and "]]", in blocks.
 
-    Each degree d present has two tokens, "d, " and, for the last node of a
-    tree, "d], [".  Each token is packed into the same whole number of uint64
-    words, padded with NUL bytes; a block of nodes is its tokens' words
-    gathered by key (degree code, plus the number of degrees at a tree's end)
-    with the NULs deleted.
+    Each degree d present has one token "d, ", padded with NUL bytes to a
+    fixed width: one 4-byte word when every token fits (degrees below 100),
+    else a whole number of 8-byte words.  The tokens sit in a table indexed
+    by degree, so a block of nodes is its degrees' table entries, gathered
+    in one pass, with the NULs deleted.  A tree's last token "d, " then
+    becomes "d], [" by inserting "]" before its ", " and "[" after it, at
+    byte offsets that are prefix sums of the block's token lengths, taken
+    only in blocks that hold a tree end.
     """
-    present = np.bincount(lex) > 0
-    degrees = np.flatnonzero(present).tolist()
-    code = np.cumsum(present) - 1  # degree -> its index in ``degrees``
-    tokens = [f"{d}, ".encode() for d in degrees] + [f"{d}], [".encode() for d in degrees]
-    width = 8 * -(-max(map(len, tokens)) // 8)
-    words = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in tokens), dtype=np.uint64)
-    words = words.reshape(len(tokens), width // 8)
+    degrees = np.flatnonzero(np.bincount(lex))
+    tokens = [f"{d}, ".encode() for d in degrees.tolist()]
+    lengths = np.zeros(degrees[-1] + 1, dtype=np.int64)
+    lengths[degrees] = np.fromiter(map(len, tokens), np.int64, len(tokens))
+    longest = int(lengths.max())
+    width = 4 if longest <= 4 else 8 * -(-longest // 8)
+    table = np.zeros(degrees[-1] + 1, dtype=f"V{width}")
+    table[degrees] = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in tokens), table.dtype)
     ends = np.cumsum(sizes) - 1
     n = lex.size
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
-        key = code[lex[lo:hi]]
-        key[ends[np.searchsorted(ends, lo) : np.searchsorted(ends, hi)] - lo] += len(degrees)
-        text = words[key].tobytes().translate(None, b"\0").decode("ascii")
+        block = lex[lo:hi]
+        text = table.take(block).tobytes().translate(None, b"\0")
+        last = ends[np.searchsorted(ends, lo) : np.searchsorted(ends, hi)] - lo
+        if last.size:
+            cut = np.cumsum(lengths.take(block))[last]  # just past each tree's last token
+            at = np.column_stack((cut - 2, cut)).ravel()
+            text = np.insert(np.frombuffer(text, np.uint8), at, np.resize(_BRACKETS, at.size)).tobytes()
+        text = text.decode("ascii")
         yield text if hi < n else text[:-4]  # the last "], [" is the close of the list
 
 

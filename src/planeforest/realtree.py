@@ -16,6 +16,7 @@ import numpy as np
 from .forest_codec import PlaneTree
 
 _TRI_TOL = 1e-9
+_TRI_CHUNK = 1 << 16  # entries per temporary of the triangle check, or one n x n matrix
 
 
 @dataclass(frozen=True)
@@ -58,10 +59,18 @@ class FiniteMetricSpace:
         object.__setattr__(self, "dist", d)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("distance matrix must be square")
-        if not np.allclose(d, d.T, atol=_TRI_TOL) or np.abs(np.diag(d)).max() > _TRI_TOL:
+        # np.allclose(d, d.T, atol=_TRI_TOL) written out: equal, or both finite and close.
+        with np.errstate(invalid="ignore"):  # inf - inf
+            close = (np.abs(d - d.T) <= _TRI_TOL + 1e-5 * np.abs(d.T)) & np.isfinite(d.T) | (d == d.T)
+        if not close.all() or np.abs(np.diag(d)).max() > _TRI_TOL:
             raise ValueError("matrix is not a metric: symmetry/diagonal")
-        for k in range(d.shape[0]):
-            if np.any(d > d[:, k, None] + d[None, k, :] + _TRI_TOL):
+        # d[i, j] <= d[i, k] + d[k, j] + tol for every k, a chunk of k at a time.
+        n = d.shape[0]
+        step = max(1, _TRI_CHUNK // (n * n))  # n >= 1: the diagonal check raised on n = 0
+        for k in range(0, n, step):
+            via = d.T[k : k + step, :, None] + d[k : k + step, None, :]  # [k, i, j]: d[i, k] + d[k, j]
+            via += _TRI_TOL
+            if np.any(d > via):
                 raise ValueError("triangle inequality violated")
 
     @property

@@ -38,39 +38,44 @@ def shuffle_degrees(s: DegreeSequence, rng: np.random.Generator) -> np.ndarray:
     return perm
 
 
-def _marked_arrays(s: DegreeSequence, rng: np.random.Generator):
+def _marked_arrays(s: DegreeSequence, rng: np.random.Generator, uniform_start: bool):
     """(lex, sizes, r) of an exactly uniform marked cyclic forest.
 
     The shuffled degree vector is the trees' lex sequences laid end to end:
     the first c-1 trees are its slices at the walk's passage times.  The
     marked tree is the last slice, of m nodes, rolled left by r, where r - 1
     is the first argmin of its own walk (the rotation lemma); its mark is
-    lex position m - r + 1.  The roll is written back into the vector, and
-    each caller checks the arrays it returns once, as a whole forest.
+    lex position m - r + 1.  With ``uniform_start`` the trees are rotated to
+    start at a uniform tree k, drawn after the shuffle; otherwise k = 0.
+    The marked tree's walk is summed in the kernel's walk buffer, and the
+    trees k..c-2, the rolled marked tree and the trees 0..k-1 are then
+    copied into that buffer once.  Each caller checks the arrays it
+    returns once, as a whole forest.
     """
-    ws = walk_statistics(s, rng)
-    lex, sizes, n, m = ws.perm, ws.sizes, s.n, int(ws.sizes[-1])
-    del ws  # frees the walk prefix before the marked tree's walk is summed
-    walk = lex[n - m :] - 1
+    perm = shuffle_degrees(s, rng)
+    buf, _, bounds = _tree_boundaries(perm, s.c)
+    sizes = np.diff(bounds, prepend=0)
+    marked = s.n - int(sizes[-1])  # the marked tree's first node
+    walk = buf[marked:]
+    np.subtract(perm[marked:], 1, out=walk)
     r = int(np.argmin(np.cumsum(walk, out=walk))) + 1
-    del walk
-    lex[n - m :] = np.roll(lex[n - m :], -r)
-    return lex, sizes, r
+    k = int(rng.integers(s.c)) if uniform_start else 0
+    start = int(bounds[k - 1]) if k else 0  # tree k's first node
+    np.concatenate((perm[start:marked], perm[marked + r :], perm[marked : marked + r], perm[:start]), out=buf)
+    return buf, np.roll(sizes, -k), r
 
 
 def sample_mcf(s: DegreeSequence, rng: np.random.Generator) -> MarkedCyclicForest:
     """Exactly uniform marked cyclic forest with degree sequence s."""
-    lex, sizes, r = _marked_arrays(s, rng)
+    lex, sizes, r = _marked_arrays(s, rng, uniform_start=False)
     return MarkedCyclicForest(PlaneForest._from_lex(lex, sizes), (s.c - 1, int(sizes[-1]) - r + 1))
 
 
 def sample_forest(s: DegreeSequence, rng: np.random.Generator) -> PlaneForest:
     """Exactly uniform plane forest with degree sequence s: the marked cyclic
     forest's trees rotated to start at a uniform tree k, its mark dropped."""
-    lex, sizes, _ = _marked_arrays(s, rng)
-    k = int(rng.integers(len(sizes)))
-    lex = np.roll(lex, -int(sizes[:k].sum()))  # frees the unrolled array before the check
-    return PlaneForest._from_lex(lex, np.roll(sizes, -k))
+    lex, sizes, _ = _marked_arrays(s, rng, uniform_start=True)
+    return PlaneForest._from_lex(lex, sizes)
 
 
 @dataclass
@@ -108,15 +113,16 @@ class WalkStatistics:
 _FIRST_WINDOW = 4096  # steps summed before the first passage check
 
 
-def _tree_boundaries(perm: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """(walk prefix, ends of the c tree segments) of a shuffled degree vector.
+def _tree_boundaries(perm: np.ndarray, c: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """(buf, hi, ends of the c tree segments) of a shuffled degree vector.
 
-    The walk is summed in windows of doubling length, each written into one
-    buffer, until a window reaches -(c-1).  The first c-1 boundaries (1-based
-    step counts) are the first passage times of -1, ..., -(c-1), found in
-    each window from that window's own running minimum, so the search needs
-    no prefix-sized temporary.  The marked tree's lattice bridge may dip
-    below -c early, so its segment always ends at n.
+    The walk is summed in windows of doubling length, each written into the
+    n-sized buffer ``buf``, until a window reaches -(c-1); ``buf[:hi]`` is
+    then the walk prefix and the rest of ``buf`` is unset.  The first c-1
+    boundaries (1-based step counts) are the first passage times of -1, ...,
+    -(c-1), found in each window from that window's own running minimum, so
+    the search needs no prefix-sized temporary.  The marked tree's lattice
+    bridge may dip below -c early, so its segment always ends at n.
     """
     n = len(perm)
     buf = np.empty(n, dtype=np.int64)
@@ -135,19 +141,19 @@ def _tree_boundaries(perm: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
         bounds[found:reached] = np.searchsorted(depth, np.arange(found + 1, reached + 1)) + lo + 1
         found = reached
         del depth
-    return buf[:hi], bounds
+    return buf, hi, bounds
 
 
 def walk_statistics(s: DegreeSequence, rng: np.random.Generator) -> WalkStatistics:
     """Sample one replicate and summarize it without materializing trees."""
     perm = shuffle_degrees(s, rng)
-    walk, boundaries = _tree_boundaries(perm, s.c)
+    buf, hi, boundaries = _tree_boundaries(perm, s.c)
     sizes = np.diff(boundaries, prepend=0)
     order = np.argsort(-sizes, kind="stable")
     ranked = sizes[order]
     tau_n = int(boundaries[s.c - 2]) if s.c >= 2 else 0
     return WalkStatistics(
-        walk=walk,
+        walk=buf[:hi],
         perm=perm,
         boundaries=boundaries,
         sizes=sizes,

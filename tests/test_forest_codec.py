@@ -31,7 +31,7 @@ from planeforest import (
     walk_from_mcf,
 )
 from planeforest.errors import MalformedBridge, PlaneForestError, TooLarge
-from planeforest.forest_codec import enumerate_walks
+from planeforest.forest_codec import _BLOCK, enumerate_walks
 from small_cases import all_plane_trees, small_degree_sequences
 
 
@@ -316,6 +316,39 @@ def test_to_json_equals_json_dumps_for_large_degrees_and_edge_shapes(counts):
         assert texts == (json.dumps({"trees": [list(t.lex) for t in m.forest.trees],
                                      "mark": list(m.mark)}),
                          json.dumps({"trees": [list(t.lex) for t in f.trees]}))
+
+
+def _path_tree(size):
+    """The tree of ``size`` nodes in one line: lex 1, ..., 1, 0."""
+    return [1] * (size - 1) + [0]
+
+
+def _star_tree(degree):
+    return [degree] + [0] * degree
+
+
+_ENCODER_CASES = {
+    # The first tree's last node is the last of block 0; the next starts block 1.
+    "tree_ends_at_block_end": [_path_tree(_BLOCK), [0], _star_tree(3)],
+    "tree_ends_at_block_start": [_path_tree(_BLOCK - 1), [1, 0], [2, 0, 0]],
+    # Single-node trees on both sides of the boundary; the last node ends block 1.
+    "single_nodes_across_block_end": [_path_tree(_BLOCK - 5)] + [[0]] * 10 + [_path_tree(_BLOCK - 6), [0]],
+    "many_ends_in_one_block": [[0], _star_tree(2), [1, 0], _star_tree(12)] * 300 + [[0]] * 500,
+    "degree_99": [_star_tree(99), [0], _star_tree(9), _path_tree(50)],  # 4-byte tokens
+    "degrees_99_and_100": [_star_tree(99), [0], _star_tree(100), _path_tree(50)],  # 8-byte tokens
+    "token_of_9_bytes": [_star_tree(1_000_000), [0]],  # "1000000, " fills two 8-byte words
+}
+
+
+@pytest.mark.parametrize("trees", list(_ENCODER_CASES.values()), ids=list(_ENCODER_CASES))
+def test_to_json_equals_json_dumps_at_block_ends_and_token_widths(trees):
+    sizes = np.array([len(t) for t in trees])
+    array_forest = PlaneForest._from_lex(np.concatenate([np.array(t) for t in trees]), sizes)
+    tuple_forest = PlaneForest(tuple(PlaneTree(tuple(t)) for t in trees))
+    mark = (len(trees) - 1, len(trees[-1]))
+    for f in array_forest, tuple_forest:
+        assert f.to_json() == json.dumps({"trees": trees})
+        assert MarkedCyclicForest(f, mark).to_json() == json.dumps({"trees": trees, "mark": list(mark)})
 
 
 def test_tuple_and_array_forests_agree():

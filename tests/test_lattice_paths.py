@@ -308,3 +308,26 @@ def test_split_matches_the_loop_reference():
             assert [type(s) for s in segments] == [FirstPassageBridge] * (w.k - 1) + [LatticeBridge]
             assert concat_segments(segments).values == w.values
     assert walks == 2054
+
+
+def _reference_is_first_passage(b):
+    v = b.values if isinstance(b, LatticePath) else tuple(b)
+    return v[-1] == -1 and all(x >= 0 for x in v[:-1])
+
+
+def test_is_first_passage_matches_the_generator_reference():
+    # As paths where the grid tuple is one, and as plain sequences (empty,
+    # NaN, float, string, numpy and non-iterable inputs included): the same
+    # answer, or the same exception and message.
+    nan = float("nan")
+    odd = _ODD_INPUTS + [(nan, -1), (1, nan, -1), (nan,), (0.5, -1), (-0.5, -1), [0, 2, -1],
+                         np.array([0.0, nan, -1.0]), range(0, -2, -1)]
+    paths = 0
+    for x in _GRID + odd:
+        assert _checked(is_first_passage, x) == _checked(_reference_is_first_passage, x), x
+        b = _checked(LatticePath, x)
+        if isinstance(b, LatticePath):
+            assert is_first_passage(b) is _reference_is_first_passage(b), x
+            paths += 1
+    assert paths == 1295
+    assert is_first_passage(iter((0, -1))) is True

@@ -1,5 +1,6 @@
 """Coding functions, contour codings of plane trees, and metric snapshots."""
 
+import collections
 import tracemalloc
 
 import numpy as np
@@ -263,3 +264,83 @@ def test_snapshot_memory_is_linear_in_the_knots():
     finally:
         tracemalloc.stop()
     assert peak < 10_000_000
+
+
+def _reference_metric_check(dist):
+    """FiniteMetricSpace's check as it was before the triangle check went by
+    chunks of k: np.allclose, then one broadcast comparison per point."""
+    d = np.asarray(dist, dtype=float)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise ValueError("distance matrix must be square")
+    if not np.allclose(d, d.T, atol=1e-9) or np.abs(np.diag(d)).max() > 1e-9:
+        raise ValueError("matrix is not a metric: symmetry/diagonal")
+    for k in range(d.shape[0]):
+        if np.any(d > d[:, k, None] + d[None, k, :] + 1e-9):
+            raise ValueError("triangle inequality violated")
+
+
+def _metric_outcome(check, d):
+    try:
+        check(d)
+        return "accepted"
+    except Exception as exc:
+        return [type(exc), str(exc)]
+
+
+def _metric_check_cases():
+    """Tree metrics with one entry, one symmetric pair or one diagonal entry
+    changed (by amounts around the tolerances, or to NaN or +-inf), plus
+    random matrices and empty and one-point ones."""
+    odd = [np.nan, np.inf, -np.inf]
+    nudges = [1e-10, 1e-9, 3e-9, 1e-5, 0.5, 1.0, 2.5, -0.5, -3.0]
+    for t in all_plane_trees(5):
+        base = tree_graph_metric(t).dist
+        n = len(base)
+        yield base
+        for i, j in [(0, n - 1), (n - 1, 0), (n // 2, n // 2), (0, 0)]:
+            for x in [*(base[i, j] + e for e in nudges), *odd]:
+                one, pair = base.copy(), base.copy()
+                one[i, j] = pair[i, j] = pair[j, i] = x
+                yield one
+                yield pair
+        yield np.where(base > 0, np.inf, 0.0)
+        yield np.where(base > 0, -np.inf, 0.0)
+        yield base * 1e7 + np.triu(np.full((n, n), 50.0), 1)  # asymmetric by rtol's order
+    rng = np.random.default_rng(25)
+    for n in range(1, 9):
+        for _ in range(40):
+            a = rng.uniform(0.5, 2.0, (n, n))
+            a = np.triu(a, 1) + np.triu(a, 1).T
+            a[rng.random((n, n)) < 0.1] = rng.choice(odd)
+            yield a
+    yield np.zeros((0, 0))
+    yield np.zeros((2, 3))
+    yield np.zeros((1, 1))
+    yield np.array([[np.nan]])
+    yield np.array([[-np.inf]])
+
+
+def test_metric_space_check_matches_the_reference():
+    # The same verdict and message on every case, NaN and +-inf entries included.
+    verdicts = collections.Counter()
+    with np.errstate(all="ignore"):
+        for d in _metric_check_cases():
+            want = _metric_outcome(_reference_metric_check, d)
+            assert _metric_outcome(FiniteMetricSpace, d) == want, d
+            verdicts[want if want == "accepted" else want[1], bool(np.isinf(d).any())] += 1
+    # Accepted, the three messages, and numpy's for the empty matrix's diagonal.
+    assert len({verdict for verdict, _ in verdicts}) == 5
+    assert verdicts["accepted", True] and verdicts["triangle inequality violated", True]
+
+
+def test_metric_space_check_holds_one_matrix_of_temporaries():
+    # A 200-point metric: all points at once would be 200^3 floats, 64 MB.
+    n = 200
+    d = tree_graph_metric(PlaneTree(tuple([1] * (n - 1) + [0]))).dist
+    tracemalloc.start()
+    try:
+        FiniteMetricSpace(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * d.nbytes

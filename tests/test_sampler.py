@@ -98,6 +98,48 @@ def test_array_kernel_matches_tuple_codec(s, seed):
     assert sample_forest(s, substream(seed, 0)) == PlaneForest(trees[k:] + trees[:k])
 
 
+def test_sample_forest_is_the_reference_rotation_on_200_seeds():
+    # The reference of perfbench's forest_1e6 replay: the tuple codec's marked
+    # cyclic forest, its trees rotated to start at tree rng.integers(c),
+    # drawn after the shuffle.
+    picks = rng_from_seed(25)
+    starts = collections.Counter()
+    for seed in range(200):
+        c = int(picks.integers(1, 6))
+        counts = {i: int(picks.integers(0, 4)) for i in (1, 2, 3, 5)}
+        counts[0] = sum((i - 1) * k for i, k in counts.items()) + c
+        s = validate(counts)
+        assert s.n <= 50 and s.c == c
+        rng = substream(seed, 0)
+        oracle = mcf_from_walk(walk_from_degrees(shuffle_degrees(s, rng)))
+        trees = oracle.forest.trees
+        k = int(rng.integers(c))
+        starts[k] += 1
+        expected = PlaneForest(trees[k:] + trees[:k])
+        f = sample_forest(s, substream(seed, 0))
+        assert f == expected and f.to_json() == expected.to_json(), seed
+        m = sample_mcf(s, substream(seed, 0))
+        assert m == oracle and m.to_json() == oracle.to_json(), seed
+    assert len(starts) == 5  # every start tree k < 5 was drawn
+
+
+def test_sample_forest_peak_memory_at_1e6():
+    # These three peak at 2.01-2.48 x 8n bytes, with or without the two
+    # np.roll copies the one-copy rotation replaced: the shuffled vector, the
+    # kernel's walk buffer (which then holds the rotated forest) and one
+    # window's running minimum.  One more O(n) array would pass 2.75.
+    s = make_degree_sequence(geometric_profile(), 1_000_000, 125, seed=1)
+    sample_forest(s, substream(1, 0))  # warm-up: first-call allocations
+    for i in range(3):
+        tracemalloc.start()
+        try:
+            sample_forest(s, substream(1, i))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * 8 * s.n, i
+
+
 def test_walk_statistics_matches_full_decode():
     s = validate({0: 40, 1: 12, 2: 18, 3: 4, 5: 1})
     records = list(replicates(s, 5, 25))
