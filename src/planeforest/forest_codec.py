@@ -84,21 +84,18 @@ _BRACKETS = np.frombuffer(b"][", dtype=np.uint8)
 def _json_lex(lex: np.ndarray, sizes: np.ndarray) -> Iterator[str]:
     """JSON text of the trees' lex lists, without the outermost "[[" and "]]", in blocks.
 
-    Each degree d present has one token "d, ", padded with NUL bytes to a
-    fixed width: one 4-byte word when every token fits (degrees below 100),
-    else a whole number of 8-byte words.  The tokens sit in a table indexed
-    by degree, so a block of nodes is its degrees' table entries, gathered
-    in one pass, with the NULs deleted.  A tree's last token "d, " then
-    becomes "d], [" by inserting "]" before its ", " and "[" after it, at
-    byte offsets that are prefix sums of the block's token lengths, taken
-    only in blocks that hold a tree end.
+    Each degree d present has one token "d, ", padded with NUL bytes to the
+    fixed width of a whole number of 4-byte words (one word for degrees
+    below 100).  The tokens sit in a table indexed by degree, so a block of
+    nodes is its degrees' table entries, gathered in one pass, with the
+    NULs deleted.  A tree's last token "d, " then becomes "d], [" by
+    inserting "]" before its ", " and "[" after it; each token has one
+    comma, so the tree ends' commas are found, in blocks that hold a tree
+    end, among the block's text.
     """
     degrees = np.flatnonzero(np.bincount(lex))
     tokens = [f"{d}, ".encode() for d in degrees.tolist()]
-    lengths = np.zeros(degrees[-1] + 1, dtype=np.int64)
-    lengths[degrees] = np.fromiter(map(len, tokens), np.int64, len(tokens))
-    longest = int(lengths.max())
-    width = 4 if longest <= 4 else 8 * -(-longest // 8)
+    width = 4 * -(-max(map(len, tokens)) // 4)
     table = np.zeros(degrees[-1] + 1, dtype=f"V{width}")
     table[degrees] = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in tokens), table.dtype)
     ends = np.cumsum(sizes) - 1
@@ -109,9 +106,10 @@ def _json_lex(lex: np.ndarray, sizes: np.ndarray) -> Iterator[str]:
         text = table.take(block).tobytes().translate(None, b"\0")
         last = ends[np.searchsorted(ends, lo) : np.searchsorted(ends, hi)] - lo
         if last.size:
-            cut = np.cumsum(lengths.take(block))[last]  # just past each tree's last token
-            at = np.column_stack((cut - 2, cut)).ravel()
-            text = np.insert(np.frombuffer(text, np.uint8), at, np.resize(_BRACKETS, at.size)).tobytes()
+            text = np.frombuffer(text, np.uint8)
+            comma = np.flatnonzero(text == ord(","))[last]  # of each tree's last token
+            at = np.column_stack((comma, comma + 2)).ravel()
+            text = np.insert(text, at, np.resize(_BRACKETS, at.size)).tobytes()
         text = text.decode("ascii")
         yield text if hi < n else text[:-4]  # the last "], [" is the close of the list
 

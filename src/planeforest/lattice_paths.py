@@ -125,10 +125,7 @@ def rotation_index(b: LatticeBridge) -> int:
 
 def is_first_passage(b: LatticePath) -> bool:
     """True iff b is a bridge whose first visit to -1 is its endpoint."""
-    if isinstance(b, LatticePath):
-        v = b.values  # its first value below 0 is -1, as steps are >= -1
-        return v[-1] == -1 and v.index(-1) == len(v) - 1
-    v = tuple(b)
+    v = b.values if isinstance(b, LatticePath) else tuple(b)
     return v[-1] == -1 and all(map(operator.ge, itertools.islice(v, len(v) - 1), itertools.repeat(0)))
 
 

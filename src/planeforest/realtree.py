@@ -59,7 +59,8 @@ class FiniteMetricSpace:
         object.__setattr__(self, "dist", d)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("distance matrix must be square")
-        # np.allclose(d, d.T, atol=_TRI_TOL) written out: equal, or both finite and close.
+        # np.allclose(d, d.T, atol=_TRI_TOL) written out: equal, or finite and close.
+        # Without isfinite, inf against -inf would pass, as inf <= tol + inf.
         with np.errstate(invalid="ignore"):  # inf - inf
             close = (np.abs(d - d.T) <= _TRI_TOL + 1e-5 * np.abs(d.T)) & np.isfinite(d.T) | (d == d.T)
         if not close.all() or np.abs(np.diag(d)).max() > _TRI_TOL:

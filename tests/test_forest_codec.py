@@ -336,7 +336,7 @@ _ENCODER_CASES = {
     "many_ends_in_one_block": [[0], _star_tree(2), [1, 0], _star_tree(12)] * 300 + [[0]] * 500,
     "degree_99": [_star_tree(99), [0], _star_tree(9), _path_tree(50)],  # 4-byte tokens
     "degrees_99_and_100": [_star_tree(99), [0], _star_tree(100), _path_tree(50)],  # 8-byte tokens
-    "token_of_9_bytes": [_star_tree(1_000_000), [0]],  # "1000000, " fills two 8-byte words
+    "token_of_9_bytes": [_star_tree(1_000_000), [0]],  # "1000000, " fills three 4-byte words
 }
 
 

@@ -289,8 +289,9 @@ def _metric_outcome(check, d):
 
 def _metric_check_cases():
     """Tree metrics with one entry, one symmetric pair or one diagonal entry
-    changed (by amounts around the tolerances, or to NaN or +-inf), plus
-    random matrices and empty and one-point ones."""
+    changed (by amounts around the tolerances, or to NaN or +-inf), or one
+    pair set to inf and -inf, plus random matrices and empty and one-point
+    ones."""
     odd = [np.nan, np.inf, -np.inf]
     nudges = [1e-10, 1e-9, 3e-9, 1e-5, 0.5, 1.0, 2.5, -0.5, -3.0]
     for t in all_plane_trees(5):
@@ -303,6 +304,10 @@ def _metric_check_cases():
                 one[i, j] = pair[i, j] = pair[j, i] = x
                 yield one
                 yield pair
+            if i != j:  # infinities of opposite signs: no finite entry fails
+                signs = base.copy()
+                signs[i, j], signs[j, i] = np.inf, -np.inf
+                yield signs
         yield np.where(base > 0, np.inf, 0.0)
         yield np.where(base > 0, -np.inf, 0.0)
         yield base * 1e7 + np.triu(np.full((n, n), 50.0), 1)  # asymmetric by rtol's order
