@@ -102,8 +102,7 @@ def _json_lex(lex: np.ndarray, sizes: np.ndarray) -> Iterator[str]:
     n = lex.size
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
-        block = lex[lo:hi]
-        text = table.take(block).tobytes().translate(None, b"\0")
+        text = table.take(lex[lo:hi]).tobytes().translate(None, b"\0")
         last = ends[np.searchsorted(ends, lo) : np.searchsorted(ends, hi)] - lo
         if last.size:
             text = np.frombuffer(text, np.uint8)
