@@ -19,7 +19,7 @@ import numpy as np
 
 from .degseq import DegreeSequence, empirical, limit_sigma, make_degree_sequence
 from .errors import EmptySample
-from .limit_sim import _erfc, tau_cdf, uncensored_limit_draws
+from .limit_sim import _check_sigma, _erfc, tau_cdf, uncensored_limit_draws
 from .sampler import replicates, shuffle_degrees, substream
 
 DEFAULT_T_CAP = 500.0
@@ -165,6 +165,7 @@ def experiment_walk(p, n: int, cn: int, reps: int, seed: int) -> ExperimentRepor
     kmax = ks_idx[-1]
     if kmax > n:
         raise ValueError("t * cn^2 exceeds n")
+    _check_sigma(sigma)  # the Normal limit needs a spread
 
     def row(rep: int) -> np.ndarray:
         # W(k) at the t points and at kmax // 2, with W(0) = 0 prepended.
@@ -248,7 +249,7 @@ def experiment_concentration(p, n: int, cn: int, reps: int, seed: int) -> Experi
     exp(-3 t^2 cn / 5) plus three binomial standard errors.
     """
     t0 = time.perf_counter()
-    s, _, _ = _setup(p, n, cn, reps, seed)
+    s, _, params = _setup(p, n, cn, reps, seed)
     if n <= cn:  # no window size m in (cn, n]
         raise ValueError(f"concentration needs n > cn, got n={n}, cn={cn}")
     p_i = s.counts.get(_CONC_DEGREE, 0) / n
@@ -265,7 +266,6 @@ def experiment_concentration(p, n: int, cn: int, reps: int, seed: int) -> Experi
         stats["exceedance"][str(t)] = freq
         stats["bound"][str(t)] = bound
         passed[f"t={t}"] = freq <= bound + slack
-    params = {"counts": {str(i): k for i, k in sorted(s.counts.items())},
-              "degree": _CONC_DEGREE, "thresholds": list(_CONC_THRESHOLDS), "reps": reps,
-              "seed": seed}
+    params.update(counts={str(i): k for i, k in sorted(s.counts.items())},
+                  degree=_CONC_DEGREE, thresholds=list(_CONC_THRESHOLDS))
     return ExperimentReport("concentration", params, stats, passed, time.perf_counter() - t0)

@@ -7,7 +7,6 @@ import re
 import shlex
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,6 +15,7 @@ from planeforest import forest_codec
 from planeforest.cli import EXIT_CRITERION, EXIT_INVALID, EXIT_OK, main
 from planeforest.degseq import geometric_profile, make_degree_sequence
 from planeforest.sampler import sample_forest, substream, walk_statistics
+from small_cases import traced_peak
 
 
 def run(capsys, *argv):
@@ -138,16 +138,6 @@ def test_sample_forest_checks_the_forest_it_returns(monkeypatch, seed):
     assert len(checks) == 1
 
 
-def _traced_peak(call):
-    """tracemalloc's peak, in bytes, while call() runs."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("command, n, c", [
     ("verify degrees", 200_000, 21),
     ("sample forest --format csv", 1_000_000, 125),
@@ -163,8 +153,8 @@ def test_replicate_loops_hold_one_record(tmp_path, command, n, c):
         "--n", str(n), "--cn", str(c), "--reps", "3"]
     argv = [*command.split(), *args, "--seed", "1", "--out", str(out)]
     assert main(argv) in (EXIT_OK, EXIT_CRITERION)  # warm-up: first-call allocations
-    peak = _traced_peak(lambda: main(argv))
-    one = max(_traced_peak(lambda: walk_statistics(s, substream(1, i))) for i in range(3))
+    peak = traced_peak(lambda: main(argv))
+    one = max(traced_peak(lambda: walk_statistics(s, substream(1, i))) for i in range(3))
     assert peak <= 1.1 * one
 
 
@@ -176,7 +166,7 @@ def test_sample_writes_each_record_as_it_is_drawn(tmp_path):
     argv = lambda count: ["sample", "forest", "--degseq", str(ds), "--seed", "1",
                           "--count", count, "--out", str(tmp_path / count)]
     assert main(argv("1")) == EXIT_OK  # warm-up: first-call allocations
-    one, twenty = (_traced_peak(lambda: main(argv(count))) for count in ("1", "20"))
+    one, twenty = (traced_peak(lambda: main(argv(count))) for count in ("1", "20"))
     assert (tmp_path / "20").read_text().count("\n") == 20
     assert twenty <= 1.5 * one
 
@@ -201,7 +191,7 @@ def test_to_json_peak_memory_is_a_few_times_its_output():
     f = sample_forest(make_degree_sequence(geometric_profile(), 1_000_000, 125, seed=1),
                       substream(1, 0))
     size = len(f.to_json())
-    assert _traced_peak(f.to_json) <= 4.5 * size
+    assert traced_peak(f.to_json) <= 4.5 * size
 
 
 def test_codec_encode_decode_round_trip(capsys):
@@ -392,6 +382,10 @@ def test_missing_or_empty_arguments_are_invalid(capsys, argv):
     ("degseq", "make", "--p", '{"0": 1e308, "2": 1e308}', "--n", "10", "--c", "2"),
     ("degseq", "make", "--p", '{"0": 1e308, "2": 1}', "--n", "10", "--c", "2"),
     ("degseq", "make", "--p", "foo:1", "--n", "10", "--c", "2"),
+    # Profiles whose sequences have no degree above 1: sigma = 0.
+    ("verify", "walk", "--p", '{"0": 0.001, "1": 0.999}', "--n", "10000", "--cn", "6",
+     "--reps", "20", "--seed", "1"),
+    ("verify", "walk", "--n", "3", "--cn", "1", "--reps", "2", "--seed", "1"),
 ], ids=["degrees_rank_above_c", "counts_not_a_mapping", "degseq_file_without_counts",
         "degseq_file_is_a_list", "tree_float_entries", "tree_negative_entry",
         "tree_nested_list", "bridge_float_entries", "bridge_nested_list",
@@ -410,7 +404,8 @@ def test_missing_or_empty_arguments_are_invalid(capsys, argv):
         "counts_repeated_json_key", "profile_repeated_json_key", "profile_leading_zero_key",
         "degseq_file_repeated_key", "profile_weight_negative", "sample_seed_negative",
         "limit_seed_negative", "verify_seed_negative", "concentration_n_not_above_cn",
-        "profile_sum_overflows", "profile_share_overflows", "profile_unknown"])
+        "profile_sum_overflows", "profile_share_overflows", "profile_unknown",
+        "walk_sigma_zero", "walk_sigma_zero_geometric"])
 def test_malformed_inputs_are_invalid(tmp_path, capsys, argv):
     # "file:<text>" stands for the path of a file that holds <text>, and
     # "out:<name>" for the path tmp_path/<name>, which no invalid input may create.
@@ -448,6 +443,8 @@ def test_malformed_inputs_are_invalid(tmp_path, capsys, argv):
         assert "profile weights overflow" in err
     if "foo:1" in argv:
         assert "unknown profile 'foo:1'" in err
+    if argv[:2] == ("verify", "walk"):
+        assert err.startswith("error: DomainError: need 0 < sigma < inf")
 
 
 @pytest.mark.parametrize("ratio", ["2", "-0.5", "0", "1", "nan", "inf"])

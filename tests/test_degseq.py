@@ -1,6 +1,7 @@
 """Degree-sequence container, moments, and profile-matching construction."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -18,8 +19,8 @@ from planeforest import (
     make_degree_sequence,
     validate,
 )
-from planeforest.degseq import _count, _degree_map, _swap_budget, profile_weights
-from planeforest.errors import EmptySequence, Infeasible, NotAForest, PlaneForestError
+from planeforest.errors import EmptySequence, Infeasible, NotAForest
+from small_cases import outcome
 
 
 def test_validate_basic_counts():
@@ -213,111 +214,74 @@ def test_degree_sequence_derives_n_and_c():
     assert validate({0: 3, 2: 1}) == s
 
 
-# The parent versions of validate and make_degree_sequence, kept here as the
-# reference: validate gave DegreeSequence(counts, n, c) its three fields.
-def _reference_validate(counts):
-    clean = {i: k for i, k in _degree_map(counts, _count, NotAForest).items() if k > 0}
-    n = sum(clean.values())
-    if n == 0:
-        raise EmptySequence("degree sequence has no nodes")
-    c = sum((1 - i) * k for i, k in clean.items())
-    if c <= 0:
-        raise NotAForest(f"tree count c(s) = {c} <= 0")
-    return list(clean.items()), n, c
+def _fields(counts):
+    """(counts items, n, c) of validate's degree sequence, or [type, message] of its error."""
+    s = outcome(validate, counts)
+    return s if isinstance(s, list) else (list(s.counts.items()), s.n, s.c)
 
 
-def _reference_make(p, n, c_target):
-    weights = profile_weights(p)
-    total_w = sum(weights.values())
-    if total_w <= 0:
-        raise ValueError("p must have positive mass")
-    if not (1 <= c_target <= n):
-        raise Infeasible(f"c_target={c_target} outside [1, {n}]")
-    counts = {i: round(n * w / total_w) for i, w in weights.items()}
-    counts = {i: k for i, k in counts.items() if k > 0}
-    counts.setdefault(0, 0)
-    counts.setdefault(1, 0)
-    counts[1] += n - sum(counts.values())
-    while counts[1] < 0:
-        if counts[0] == 0:
-            raise Infeasible("cannot repair node total")
-        counts[0] -= 1
-        counts[1] += 1
-    c = n - sum(i * k for i, k in counts.items())
-    budget = _swap_budget(n)
-    for _ in range(budget):
-        if c == c_target:
-            break
-        if c > c_target:
-            if counts[0] <= 0:
-                raise Infeasible("no leaf available to lower c")
-            counts[0] -= 1
-            counts[1] += 1
-            c -= 1
-        elif counts[1] > 0:
-            counts[1] -= 1
-            counts[0] += 1
-            c += 1
-        else:
-            high = [j for j, k in counts.items() if j >= 2 and k > 0]
-            if not high:
-                raise Infeasible("no node available to raise c")
-            j = min(high)
-            counts[j] -= 1
-            counts[j - 1] = counts.get(j - 1, 0) + 1
-            c += 1
-    if c != c_target:
-        raise Infeasible(f"c_target={c_target} not reached within {budget} swaps")
-    return _reference_validate(counts)
-
-
-def _outcome(f, *args):
-    """(counts items, n, c) of f's degree sequence, or (type, message) of its error."""
-    try:
-        out = f(*args)
-    except (ValueError, PlaneForestError) as exc:
-        return type(exc), str(exc)
-    return out if isinstance(out, tuple) else (list(out.counts.items()), out.n, out.c)
-
-
-# Every counts map that the tests above give validate.
+_BAD_DEGREE = "is not an integer >= 0 or its canonical string"
+# Every counts map that the tests above give validate, with its fields.
 _COUNTS_FED = [
-    {0: 4, 2: 2}, {0: 3, 1: 2, 3: 1}, {0: 2, 1: 1, 5: 0}, {}, {2: 3}, {1: 4}, {-1: 2, 0: 3},
-    {0: -2}, {"0": 1.5, "1": 2}, {0: "3"}, {0: 2, 1.5: 1}, {"0": 2, "1.5": 1},
-    {0: 3, "0": 4}, {True: 3, 0: 4}, {"0": 3, "1": 5, "01": 2}, {"0": 12, "1_0": 1}, {" 0": 3},
-    {0: np.int64(4), "2": 2}, {0: 3, 2: 1}, [1], {0: 3, 2: None},
+    ({0: 4, 2: 2}, ([(0, 4), (2, 2)], 6, 2)),
+    ({0: 3, 1: 2, 3: 1}, ([(0, 3), (1, 2), (3, 1)], 6, 1)),
+    ({0: 2, 1: 1, 5: 0}, ([(0, 2), (1, 1)], 3, 2)),
+    ({}, [EmptySequence, "degree sequence has no nodes"]),
+    ({2: 3}, [NotAForest, "tree count c(s) = -3 <= 0"]),
+    ({1: 4}, [NotAForest, "tree count c(s) = 0 <= 0"]),
+    ({-1: 2, 0: 3}, [NotAForest, f"degree -1 {_BAD_DEGREE}"]),
+    ({0: -2}, [NotAForest, "count of degree 0 must be an integer >= 0, got -2"]),
+    ({"0": 1.5, "1": 2}, [NotAForest, "count of degree 0 must be an integer >= 0, got 1.5"]),
+    ({0: "3"}, [NotAForest, "count of degree 0 must be an integer >= 0, got '3'"]),
+    ({0: 2, 1.5: 1}, [NotAForest, f"degree 1.5 {_BAD_DEGREE}"]),
+    ({"0": 2, "1.5": 1}, [NotAForest, f"degree '1.5' {_BAD_DEGREE}"]),
+    ({0: 3, "0": 4}, [NotAForest, "degree 0 is named twice"]),
+    ({True: 3, 0: 4}, [NotAForest, f"degree True {_BAD_DEGREE}"]),
+    ({"0": 3, "1": 5, "01": 2}, [NotAForest, f"degree '01' {_BAD_DEGREE}"]),
+    ({"0": 12, "1_0": 1}, [NotAForest, f"degree '1_0' {_BAD_DEGREE}"]),
+    ({" 0": 3}, [NotAForest, f"degree ' 0' {_BAD_DEGREE}"]),
+    ({0: np.int64(4), "2": 2}, ([(0, 4), (2, 2)], 6, 2)),
+    ({0: 3, 2: 1}, ([(0, 3), (2, 1)], 4, 2)),
+    ([1], [NotAForest, "expected a map of degree -> value, got list"]),
+    ({0: 3, 2: None}, [NotAForest, "count of degree 2 must be an integer >= 0, got None"]),
 ]
 
 
-@pytest.mark.parametrize("counts", _COUNTS_FED, ids=repr)
-def test_validate_matches_the_three_field_reference(counts):
-    assert _outcome(validate, counts) == _outcome(_reference_validate, counts)
+@pytest.mark.parametrize("counts, fields", _COUNTS_FED, ids=[repr(c) for c, _ in _COUNTS_FED])
+def test_validate_matches_the_three_field_reference(counts, fields):
+    assert _fields(counts) == fields
 
 
 @given(degree_counts())
 def test_validate_matches_the_three_field_reference_on_drawn_counts(counts):
-    assert _outcome(validate, counts) == _outcome(_reference_validate, counts)
+    # Zero counts dropped, the rest in the order given; n and c from them.
+    n = sum(counts.values())
+    c = sum((1 - i) * k for i, k in counts.items())
+    want = [(i, k) for i, k in counts.items() if k > 0], n, c
+    assert _fields(counts) == (want if c > 0 else [NotAForest, f"tree count c(s) = {c} <= 0"])
 
 
 def test_make_degree_sequence_matches_the_reference_on_a_grid():
     # Degrees 0-4 with weights in {0, 0.5, 1, 2}, 1 <= c <= n <= 12, and the
-    # two repair cases.  Neither branch that the fix-up rule cannot reach
-    # (no leaf to lower c, no node to raise it) is reached by the reference.
+    # two repair cases.  The digest pins every outcome: the counts in their
+    # order, or the exception type and message.
     cases = [(dict(zip(range(5), ws)), n, c)
              for ws in itertools.product((0, 0.5, 1, 2), repeat=5)
              for n in range(1, 13) for c in range(1, n + 1)]
     cases += [({2: 0.5, 3: 0.5}, 3, 1), ({0: 0.5, 2: 0.5}, 3, 1)]
+    h = hashlib.sha256()
     errors = set()
     for p, n, c in cases:
-        got = _outcome(make_degree_sequence, p, n, c)
-        assert got == _outcome(_reference_make, p, n, c), (p, n, c)
-        if isinstance(got[0], list):
-            counts = dict(got[0])
-            assert _outcome(validate, counts) == _outcome(_reference_validate, counts)
-        else:
+        got = outcome(make_degree_sequence, p, n, c)
+        if isinstance(got, list):
             errors.add(got[1])
-    assert not errors & {"no leaf available to lower c", "no node available to raise c"}
+            got = [got[0].__name__, got[1]]
+        else:
+            assert (got.n, got.c) == (n, c)
+            got = list(got.counts.items())
+        h.update(repr(got).encode())
     assert {"p must have positive mass", "cannot repair node total"} <= errors
+    assert h.hexdigest() == "0e04e0082af09a5bcfd2ebd8df4c60d5cf82075acf80c15ca39a6792828143be"
 
 
 def test_make_degree_sequence_repairs_the_total_then_lowers_a_degree():

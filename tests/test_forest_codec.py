@@ -32,7 +32,7 @@ from planeforest import (
 )
 from planeforest.errors import MalformedBridge, PlaneForestError, TooLarge
 from planeforest.forest_codec import _BLOCK, enumerate_walks
-from small_cases import all_plane_trees, small_degree_sequences
+from small_cases import all_plane_trees, outcome, small_degree_sequences
 
 
 def test_plane_tree_validation():
@@ -218,17 +218,9 @@ def test_forest_from_json_rejects_a_key_named_twice():
         PlaneForest.from_json('{"trees": [[0]], "trees": [[0], [0]]}')
 
 
-def _whole_forest(lex, sizes):
-    return PlaneForest._from_lex(lex, sizes)
-
-
 def _tree_by_tree(lex, sizes):
-    """The per-tree reference: the forest, or the type of the error raised."""
-    try:
-        slices = np.split(lex, np.cumsum(sizes)[:-1])
-        return PlaneForest(tuple(PlaneTree(tuple(x)) for x in slices))
-    except PlaneForestError as exc:
-        return type(exc)
+    """The per-tree reference of PlaneForest._from_lex."""
+    return PlaneForest(tuple(PlaneTree(tuple(x)) for x in np.split(lex, np.cumsum(sizes)[:-1])))
 
 
 @st.composite
@@ -265,21 +257,19 @@ def lex_and_sizes(draw):
 @example((np.array([], dtype=np.int64), np.array([], dtype=np.int64)))
 @given(lex_and_sizes())
 def test_whole_forest_check_agrees_with_tree_by_tree(case):
-    lex, sizes = case
-    expected = _tree_by_tree(lex, sizes)
-    if isinstance(expected, PlaneForest):
-        assert _whole_forest(lex, sizes) == expected
+    # The same forest, or an error of the same PlaneForestError type.
+    expected, got = outcome(_tree_by_tree, *case), outcome(PlaneForest._from_lex, *case)
+    if isinstance(expected, list):
+        assert issubclass(expected[0], PlaneForestError)
+        assert isinstance(got, list) and got[0] is expected[0]
     else:
-        with pytest.raises(PlaneForestError) as info:
-            _whole_forest(lex, sizes)
-        assert type(info.value) is expected
+        assert got == expected
 
 
 def test_whole_forest_check_rejects_float_arrays():
-    lex, sizes = np.array([1.0, 0.0]), np.array([2])
-    assert _tree_by_tree(lex, sizes) is MalformedBridge
-    with pytest.raises(MalformedBridge):
-        _whole_forest(lex, sizes)
+    case = np.array([1.0, 0.0]), np.array([2])
+    assert outcome(_tree_by_tree, *case)[0] is MalformedBridge
+    assert outcome(PlaneForest._from_lex, *case)[0] is MalformedBridge
 
 
 @st.composite
@@ -366,53 +356,27 @@ def test_tuple_and_array_forests_agree():
     assert n == m and hash(n) == hash(m) and repr(n) == repr(m) and n.to_json() == m.to_json()
 
 
-# The parent versions of forest_to_mcf and mcf_preimages, kept here as the
-# reference: a linear scan for the marked node and a re-summed offset per rotation.
-def _reference_locate_node(f, node):
-    if not 1 <= node <= f.size:
-        raise ValueError(f"node {node} outside [1, {f.size}]")
-    acc = 0
-    for ti, t in enumerate(f.trees):
-        if node <= acc + t.size:
-            return ti, node - acc
-        acc += t.size
-    raise AssertionError("unreachable")
-
-
-def _reference_forest_to_mcf(f, marked_node):
-    ti, pos = _reference_locate_node(f, marked_node)
-    trees = f.trees[ti + 1 :] + f.trees[: ti + 1]
-    return MarkedCyclicForest(PlaneForest(trees), (len(trees) - 1, pos))
-
-
-def _reference_mcf_preimages(m):
-    trees = m.forest.trees
-    c = len(trees)
-    out = []
-    for k in range(c):
-        rotated = trees[k:] + trees[:k]
-        before = sum(t.size for t in rotated[: c - 1 - k])
-        out.append((PlaneForest(rotated), before + m.mark[1]))
-    return out
-
-
-def _outcome(f, *args):
-    try:
-        return f(*args)
-    except ValueError as exc:
-        return type(exc), str(exc)
-
-
 def test_rotations_match_the_reference_on_all_mcfs_n_le_7():
+    # forest_to_mcf is n-to-c: every marked cyclic forest has exactly c
+    # preimages, distinct, each mapping back to it, and every node of its
+    # forest maps to one whose preimages hold it.  The digest pins the
+    # preimages' order and marks.
+    h = hashlib.sha256()
     mcfs = 0
     for s in small_degree_sequences(7):
         for m in enumerate_mcfs(s, cap=7):
             mcfs += 1
-            assert mcf_preimages(m) == _reference_mcf_preimages(m)
-            for node in range(s.n + 2):  # 0 and n + 1 lie outside the forest
-                got = _outcome(forest_to_mcf, m.forest, node)
-                assert got == _outcome(_reference_forest_to_mcf, m.forest, node)
-    assert mcfs == sum(count_mcf(s) for s in small_degree_sequences(7))
+            pre = mcf_preimages(m)
+            assert len(set(pre)) == len(pre) == s.c
+            assert all(forest_to_mcf(f, node) == m for f, node in pre)
+            for node in range(1, s.n + 1):
+                assert (m.forest, node) in mcf_preimages(forest_to_mcf(m.forest, node))
+            for node in (0, s.n + 1):  # outside the forest
+                assert outcome(forest_to_mcf, m.forest, node) == [
+                    ValueError, f"node {node} outside [1, {s.n}]"]
+            h.update(repr(pre).encode())
+    assert mcfs == sum(count_mcf(s) for s in small_degree_sequences(7)) == 2353
+    assert h.hexdigest() == "c3c762a3b2ab20e26d53b21c84124ab24edad529be58b95bda1a05eb71596344"
 
 
 def test_mcf_mark_is_stored_as_a_tuple_of_ints():

@@ -1,7 +1,6 @@
 """Lattice bridges, cyclic shifts, and the rotation lemma."""
 
 import itertools
-import operator
 
 import numpy as np
 import pytest
@@ -21,6 +20,11 @@ from planeforest import (
 )
 from planeforest.errors import MalformedBridge, NotAWalk
 from planeforest.lattice_paths import concat_segments
+from small_cases import (
+    all_bridges, bridge_values, coding_walk_values, extended_path_shift, first_passage,
+    first_passage_bridge_values, outcome, path_values, split_values, tree_lex,
+    walk_values_from_degrees,
+)
 
 
 def test_path_validation():
@@ -70,12 +74,7 @@ def test_rotation_index_worked_example():
     b = LatticeBridge((0, -1, -1, -2, -1, 1, 0, -1))
     r = rotation_index(b)
     assert r == 3
-    shifted = cyclic_shift(b, r)
-    assert is_first_passage(shifted)
-    # every other shift fails
-    for k in range(1, b.n + 1):
-        if k != r:
-            assert not is_first_passage(cyclic_shift(b, k))
+    assert is_first_passage(cyclic_shift(b, r))  # and no other shift is one
 
 
 def test_cyclic_shift_is_a_group_action():
@@ -120,45 +119,20 @@ def test_split_single_tree_walk():
     assert segments[0].values == w.values
 
 
-def exhaustive_bridges(n):
-    """All bridges of length n with increments in {-1, 0, 1, 2}."""
-    for inc in itertools.product((-1, 0, 1, 2), repeat=n):
-        if sum(inc) != -1:
-            continue
-        vals = [0]
-        for x in inc:
-            vals.append(vals[-1] + x)
-        yield LatticeBridge(tuple(vals))
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_rotation_lemma_small_lengths(n):
-    for b in exhaustive_bridges(n):
-        hits = [k for k in range(1, n + 1) if is_first_passage(cyclic_shift(b, k))]
-        assert hits == [rotation_index(b)]
-
-
-def _extended_path_shift(b, k):
-    """The reference shift: extend b by b(n + i) = -1 + b(i), read n steps from k."""
-    v = b.values
-    ext = v + tuple(-1 + x for x in v[1:])
-    return tuple(ext[k + i] - ext[k] for i in range(b.n + 1))
-
-
 def test_cyclic_shift_matches_extended_path_reference():
-    # Every bridge of length n <= 8, at every k.  Its increments plus one are
-    # n numbers >= 0 adding up to n - 1: the gaps between n - 1 bars placed
-    # among 2n - 2 slots.
+    # Every bridge of length n <= 8, at every k: the shift, and the rotation
+    # lemma (exactly one shift is a first-passage bridge, the one by r).
     bridges = shifts = 0
-    for n in range(1, 9):
-        for bars in itertools.combinations(range(2 * n - 2), n - 1):
-            edges = (-1, *bars, 2 * n - 2)
-            inc = [hi - lo - 2 for lo, hi in zip(edges, edges[1:])]
-            b = LatticeBridge(tuple(itertools.accumulate(inc, initial=0)))
-            bridges += 1
-            for k in range(1, n + 1):
-                assert cyclic_shift(b, k).values == _extended_path_shift(b, k)
-                shifts += 1
+    for b in all_bridges(8):
+        bridges += 1
+        hits = []
+        for k in range(1, b.n + 1):
+            shifted = cyclic_shift(b, k)
+            assert shifted.values == extended_path_shift(b, k)
+            if is_first_passage(shifted):
+                hits.append(k)
+            shifts += 1
+        assert hits == [rotation_index(b)], b.values
     assert (bridges, shifts) == (4707, 35889)
 
 
@@ -177,100 +151,13 @@ def test_rotation_lemma_random_degree_walks(degrees):
     assert sum(is_first_passage(cyclic_shift(b, k)) for k in range(1, b.n + 1)) == 1
 
 
-# Loop-based copies of the checks, as they were before each became one pass
-# of built-in iterators.  Each returns the checked tuple.
-def _reference_path(values):
-    try:
-        v = tuple(map(operator.index, values))
-    except TypeError as exc:
-        raise MalformedBridge(f"path values must be integers: {exc}") from None
-    if not v or v[0] != 0:
-        raise MalformedBridge("path must start at 0")
-    for a, b in zip(v, v[1:]):
-        if b - a < -1:
-            raise MalformedBridge("downward step larger than 1")
-    return v
-
-
-def _reference_bridge(values):
-    v = _reference_path(values)
-    if v[-1] != -1:
-        raise MalformedBridge("bridge must end at -1")
-    return v
-
-
-def _reference_first_passage_bridge(values):
-    v = _reference_bridge(values)
-    if min(v[:-1], default=0) < 0:
-        raise MalformedBridge("hits -1 before the endpoint")
-    return v
-
-
-def _reference_coding_walk(values):
-    v = _reference_path(values)
-    if v[-1] >= 0:
-        raise MalformedBridge("coding walk must end strictly below 0")
-    return v
-
-
-def _reference_tree(lex):
-    try:
-        lex = tuple(map(operator.index, lex))
-    except TypeError as exc:
-        raise MalformedBridge(f"lex entries must be integer degrees: {exc}") from None
-    if min(lex, default=0) < 0:
-        raise MalformedBridge("lex sequence has a negative degree")
-    bal = 0
-    for i, d in enumerate(lex):
-        bal += d - 1
-        if bal < 0 and i < len(lex) - 1:
-            raise MalformedBridge("lex sequence closes the tree early")
-    if bal != -1:
-        raise MalformedBridge("lex sequence does not close the tree")
-    return lex
-
-
-def _reference_walk_from_degrees(degrees):
-    try:
-        degs = list(map(operator.index, degrees))
-    except TypeError as exc:
-        raise NotAWalk(f"degrees must be integers: {exc}") from None
-    if any(d < 0 for d in degs):
-        raise NotAWalk("degrees must be nonnegative")
-    values = [0]
-    for d in degs:
-        values.append(values[-1] + d - 1)
-    if values[-1] >= 0:
-        raise NotAWalk(f"walk ends at {values[-1]} >= 0")
-    return _reference_coding_walk(tuple(values))
-
-
-def _reference_split(values):
-    v, k = values, -values[-1]
-    segments, start, level = [], 0, 0
-    for j in range(1, k):
-        t = next(i for i in range(start, len(v)) if v[i] <= -j)
-        segments.append(_reference_first_passage_bridge(tuple(x - level for x in v[start : t + 1])))
-        start, level = t, v[t]
-    segments.append(_reference_bridge(tuple(x - level for x in v[start:])))
-    return segments
-
-
-def _checked(f, x):
-    """f's output tuple, or a list of the type and message of the exception it raised."""
-    try:
-        return f(x)
-    except Exception as exc:
-        return [type(exc), str(exc)]
-
-
 _CHECKS = {
-    "LatticePath": (lambda x: LatticePath(x).values, _reference_path),
-    "LatticeBridge": (lambda x: LatticeBridge(x).values, _reference_bridge),
-    "FirstPassageBridge": (lambda x: FirstPassageBridge(x).values, _reference_first_passage_bridge),
-    "CodingWalk": (lambda x: CodingWalk(x).values, _reference_coding_walk),
-    "PlaneTree": (lambda x: PlaneTree(x).lex, _reference_tree),
-    "walk_from_degrees": (lambda x: walk_from_degrees(x).values, _reference_walk_from_degrees),
+    "LatticePath": (lambda x: LatticePath(x).values, path_values),
+    "LatticeBridge": (lambda x: LatticeBridge(x).values, bridge_values),
+    "FirstPassageBridge": (lambda x: FirstPassageBridge(x).values, first_passage_bridge_values),
+    "CodingWalk": (lambda x: CodingWalk(x).values, coding_walk_values),
+    "PlaneTree": (lambda x: PlaneTree(x).lex, tree_lex),
+    "walk_from_degrees": (lambda x: walk_from_degrees(x).values, walk_values_from_degrees),
 }
 _GRID = [t for n in range(7) for t in itertools.product(range(-2, 4), repeat=n)]
 _ODD_INPUTS = [
@@ -288,8 +175,8 @@ def test_checks_match_the_loop_reference(name):
     check, reference = _CHECKS[name]
     assert len(_GRID) == 55987
     for x in _GRID + _ODD_INPUTS:
-        got, want = _checked(check, x), _checked(reference, x)
-        assert got == want, x
+        got = outcome(check, x)
+        assert got == outcome(reference, x), x
         assert type(got) is not tuple or all(type(d) is int for d in got)
 
 
@@ -304,15 +191,10 @@ def test_split_matches_the_loop_reference():
             w = walk_from_degrees(degrees)
             walks += 1
             segments = split_at_passage_times(w)
-            assert [s.values for s in segments] == _reference_split(w.values)
+            assert [s.values for s in segments] == split_values(w.values)
             assert [type(s) for s in segments] == [FirstPassageBridge] * (w.k - 1) + [LatticeBridge]
             assert concat_segments(segments).values == w.values
     assert walks == 2054
-
-
-def _reference_is_first_passage(b):
-    v = b.values if isinstance(b, LatticePath) else tuple(b)
-    return v[-1] == -1 and all(x >= 0 for x in v[:-1])
 
 
 def test_is_first_passage_matches_the_generator_reference():
@@ -324,10 +206,10 @@ def test_is_first_passage_matches_the_generator_reference():
                          np.array([0.0, nan, -1.0]), range(0, -2, -1)]
     paths = 0
     for x in _GRID + odd:
-        assert _checked(is_first_passage, x) == _checked(_reference_is_first_passage, x), x
-        b = _checked(LatticePath, x)
+        assert outcome(is_first_passage, x) == outcome(first_passage, x), x
+        b = outcome(LatticePath, x)
         if isinstance(b, LatticePath):
-            assert is_first_passage(b) is _reference_is_first_passage(b), x
+            assert is_first_passage(b) is first_passage(b.values), x
             paths += 1
     assert paths == 1295
     assert is_first_passage(iter((0, -1))) is True

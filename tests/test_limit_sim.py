@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +23,7 @@ from planeforest import (
 )
 from planeforest import limit_sim
 from planeforest.errors import CapExceeded, DomainError
+from small_cases import outcome, traced_peak
 
 
 def test_tau_cdf_closed_form_values():
@@ -236,23 +236,13 @@ def test_sample_limit_vector_mean_tau():
 
 
 def _path_reference(sigma, top_j, dt, rng, t_cap):
-    """tau and zero-padded top lengths from the whole path, or the CapExceeded text."""
-    try:
-        path, tau = simulate_to_hit(1.0 / sigma, dt, rng, t_cap=t_cap)
-    except CapExceeded as exc:
-        return str(exc)
+    """tau and zero-padded top lengths from the whole path."""
+    path, tau = simulate_to_hit(1.0 / sigma, dt, rng, t_cap=t_cap)
     starts, ends = ranked_excursions(path, dt)
     top = (ends - starts)[:top_j]
     lengths = np.zeros(top_j)
     lengths[: len(top)] = top
     return tau, lengths
-
-
-def _streamed(sigma, top_j, dt, rng, t_cap):
-    try:
-        return sample_limit_vector(sigma, top_j, dt, rng, t_cap=t_cap)
-    except CapExceeded as exc:
-        return str(exc)
 
 
 @pytest.mark.parametrize("chunk,dt,t_cap", [
@@ -270,10 +260,10 @@ def test_streamed_draw_equals_path_reference(monkeypatch, chunk, dt, t_cap):
     for i in range(draws):
         sigma = (1.0, math.sqrt(2.0), 0.7)[i % 3]
         top_j = 1 + i % 4
-        want = _path_reference(sigma, top_j, dt, substream(31, i), t_cap)
-        got = _streamed(sigma, top_j, dt, substream(31, i), t_cap)
-        if isinstance(want, str):
-            assert got == want
+        want = outcome(_path_reference, sigma, top_j, dt, substream(31, i), t_cap)
+        got = outcome(sample_limit_vector, sigma, top_j, dt, substream(31, i), t_cap)
+        if isinstance(want, list):  # [CapExceeded, its message]
+            assert want[0] is CapExceeded and got == want
             censored += 1
             continue
         assert got[0] == want[0]
@@ -339,14 +329,11 @@ def test_ranked_excursions_match_a_plain_loop():
 def test_censored_streamed_draw_holds_one_chunk():
     # x = 100 is not reached before t_cap = 500, so all 5e6 steps are drawn;
     # a path-keeping draw holds 40 MB of them.
-    tracemalloc.start()
-    try:
+    def censored_draw():
         with pytest.raises(CapExceeded):
             sample_limit_vector(0.01, 2, 1e-4, substream(35, 0), t_cap=500.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 3e6
+
+    assert traced_peak(censored_draw) < 3e6
 
 
 @pytest.mark.parametrize("top_j", [0, -2])

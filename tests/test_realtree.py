@@ -1,7 +1,6 @@
 """Coding functions, contour codings of plane trees, and metric snapshots."""
 
 import collections
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +15,10 @@ from planeforest import (
     metric_snapshot,
     tree_graph_metric,
 )
-from small_cases import all_plane_trees, four_point_holds
+from small_cases import (
+    all_plane_trees, euler_tour, four_point_holds, graph_metric, metric_check, outcome,
+    snapshot, traced_peak, window_min,
+)
 
 
 def test_contour_function_shape():
@@ -39,26 +41,6 @@ def test_first_visit_times_are_contour_times():
         assert g(tv) == depths[u]
 
 
-def euler_tour(t):
-    """Reference contour and first visits: an explicit walk over child lists."""
-    children = [[] for _ in range(t.size)]
-    for v, p in enumerate(t.parents()[1:], start=1):
-        children[p].append(v)
-    depths, first = [0], [0] * t.size
-    stack = [iter(children[0])]
-    while stack:
-        u = next(stack[-1], None)
-        if u is None:
-            stack.pop()
-            if stack:
-                depths.append(len(stack) - 1)
-        else:
-            first[u] = len(depths)
-            depths.append(len(stack))
-            stack.append(iter(children[u]))
-    return depths, first
-
-
 def test_contour_and_first_visits_match_euler_tour():
     trees = all_plane_trees(7)
     assert len(trees) == 1 + 1 + 2 + 5 + 14 + 42 + 132  # Catalan numbers
@@ -75,13 +57,11 @@ def test_deep_path_tree_contour_without_recursion_limit():
     assert len(g.values) == 2 * n - 1
     assert (np.abs(np.diff(g.values)) == 1.0).all()
     assert g.values[-1] == 0.0
-    par = t.parents()
-    assert par == list(range(-1, n - 1))
-    depth = [0] * n
-    for v in range(1, n):
-        depth[v] = depth[par[v]] + 1
-    fvt = first_visit_times(t)
-    assert [g(tv) for tv in fvt] == depth
+    assert t.parents() == list(range(-1, n - 1))
+    depths, first = euler_tour(t)
+    assert g.values.tolist() == depths
+    assert first_visit_times(t).tolist() == first
+    assert [g(tv) for tv in first] == list(range(n))  # node v sits at depth v
 
 
 def test_coding_pseudometric_simple_cases():
@@ -162,69 +142,15 @@ def test_coding_functions_and_metrics_name_what_is_wrong(make, match):
         make()
 
 
-# Pair-by-pair copies of the snapshot and the graph metric, as they were
-# before the snapshot took all pairs in one batch.
-def _reference_window_min(g, a, b):
-    if a > b:
-        a, b = b, a
-    lo = float(np.interp(a, g.times, g.values))
-    hi = float(np.interp(b, g.times, g.values))
-    m = min(lo, hi)
-    inside = (g.times > a) & (g.times < b)
-    if inside.any():
-        m = min(m, float(g.values[inside].min()))
-    return m
-
-
-def _reference_pseudometric(g, s, t):
-    return g(s) + g(t) - 2.0 * _reference_window_min(g, s, t)
-
-
-def _reference_snapshot(g, sample_times):
-    times = list(sample_times)
-    m = len(times)
-    full = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            full[i, j] = full[j, i] = _reference_pseudometric(g, times[i], times[j])
-    reps = []
-    for i in range(m):
-        if not any(full[i, r] <= 1e-12 for r in reps):
-            reps.append(i)
-    return full[np.ix_(reps, reps)]
-
-
-def _reference_graph_metric(t):
-    n = t.size
-    par = t.parents()
-    depth = [0] * n
-    for v in range(1, n):
-        depth[v] = depth[par[v]] + 1
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = i, j
-            da, db = depth[a], depth[b]
-            while da > db:
-                a, da = par[a], da - 1
-            while db > da:
-                b, db = par[b], db - 1
-            while a != b:
-                a, b = par[a], par[b]
-                da -= 1
-            dist[i, j] = dist[j, i] = depth[i] + depth[j] - 2 * da
-    return dist
-
-
 def test_snapshot_and_graph_metric_equal_the_pairwise_reference_on_all_trees_n_le_8():
     trees = all_plane_trees(8)
     assert len(trees) == 626
     for t in trees:
         g, times = contour_function(t), first_visit_times(t)
         snap = metric_snapshot(g, times).dist
-        want = _reference_snapshot(g, times)
+        want = snapshot(g, times)
         assert snap.shape == want.shape and (snap == want).all(), t.lex
-        assert (tree_graph_metric(t).dist == _reference_graph_metric(t)).all(), t.lex
+        assert (tree_graph_metric(t).dist == graph_metric(t)).all(), t.lex
 
 
 def test_snapshot_equals_the_pairwise_reference_on_random_coding_functions():
@@ -243,12 +169,13 @@ def test_snapshot_equals_the_pairwise_reference_on_random_coding_functions():
         sample = rng.permutation(np.concatenate([sample, sample[: int(rng.integers(0, 2))]]))
         if len(sample) == 0:
             continue
-        want = _reference_snapshot(g, sample)
+        want = snapshot(g, sample)
         snap = metric_snapshot(g, sample).dist
         assert snap.shape == want.shape and (snap == want).all()
         for s, t in zip(sample, sample[::-1]):
-            assert coding_pseudometric(g, s, t) == _reference_pseudometric(g, s, t)
-            assert g.window_min(s, t) == _reference_window_min(g, s, t)
+            m = window_min(g, s, t)
+            assert g.window_min(s, t) == m
+            assert coding_pseudometric(g, s, t) == g(s) + g(t) - 2.0 * m
 
 
 def test_snapshot_memory_is_linear_in_the_knots():
@@ -257,34 +184,7 @@ def test_snapshot_memory_is_linear_in_the_knots():
     walk = np.concatenate([[0.0], np.cumsum(rng.standard_normal(100_000))])
     g = CodingFunction(np.arange(100_001, dtype=float), walk - np.minimum.accumulate(walk))
     sample = rng.uniform(0.0, 100_000.0, size=20)
-    tracemalloc.start()
-    try:
-        metric_snapshot(g, sample)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10_000_000
-
-
-def _reference_metric_check(dist):
-    """FiniteMetricSpace's check as it was before the triangle check went by
-    chunks of k: np.allclose, then one broadcast comparison per point."""
-    d = np.asarray(dist, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ValueError("distance matrix must be square")
-    if not np.allclose(d, d.T, atol=1e-9) or np.abs(np.diag(d)).max() > 1e-9:
-        raise ValueError("matrix is not a metric: symmetry/diagonal")
-    for k in range(d.shape[0]):
-        if np.any(d > d[:, k, None] + d[None, k, :] + 1e-9):
-            raise ValueError("triangle inequality violated")
-
-
-def _metric_outcome(check, d):
-    try:
-        check(d)
-        return "accepted"
-    except Exception as exc:
-        return [type(exc), str(exc)]
+    assert traced_peak(lambda: metric_snapshot(g, sample)) < 10_000_000
 
 
 def _metric_check_cases():
@@ -330,22 +230,17 @@ def test_metric_space_check_matches_the_reference():
     verdicts = collections.Counter()
     with np.errstate(all="ignore"):
         for d in _metric_check_cases():
-            want = _metric_outcome(_reference_metric_check, d)
-            assert _metric_outcome(FiniteMetricSpace, d) == want, d
-            verdicts[want if want == "accepted" else want[1], bool(np.isinf(d).any())] += 1
+            want = outcome(metric_check, d)  # None: accepted
+            got = outcome(FiniteMetricSpace, d)
+            assert (got if isinstance(got, list) else None) == want, d
+            verdicts[want[1] if want else None, bool(np.isinf(d).any())] += 1
     # Accepted, the three messages, and numpy's for the empty matrix's diagonal.
     assert len({verdict for verdict, _ in verdicts}) == 5
-    assert verdicts["accepted", True] and verdicts["triangle inequality violated", True]
+    assert verdicts[None, True] and verdicts["triangle inequality violated", True]
 
 
 def test_metric_space_check_holds_one_matrix_of_temporaries():
     # A 200-point metric: all points at once would be 200^3 floats, 64 MB.
     n = 200
     d = tree_graph_metric(PlaneTree(tuple([1] * (n - 1) + [0]))).dist
-    tracemalloc.start()
-    try:
-        FiniteMetricSpace(d)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * d.nbytes
+    assert traced_peak(lambda: FiniteMetricSpace(d)) <= 8 * d.nbytes

@@ -3,7 +3,6 @@
 import collections
 import itertools
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,11 +11,9 @@ import scipy.stats
 from hypothesis import example, given, settings, strategies as st
 
 from planeforest import (
-    PlaneForest,
     count_forests,
     count_mcf,
     make_degree_sequence,
-    mcf_from_walk,
     replicates,
     rng_from_seed,
     sample_forest,
@@ -25,11 +22,11 @@ from planeforest import (
     shuffle_degrees,
     substream,
     validate,
-    walk_from_degrees,
     walk_statistics,
 )
-from planeforest.degseq import degree_vector, geometric_profile
+from planeforest.degseq import geometric_profile
 from planeforest.sampler import forest_summary_csv_header, forest_summary_csv_row
+from small_cases import full_walk_statistics, traced_peak, tuple_codec_sample
 
 
 def test_substream_determinism_and_independence():
@@ -90,18 +87,14 @@ def degree_sequences(draw):
 @given(degree_sequences(), st.integers(0, 2**32))
 def test_array_kernel_matches_tuple_codec(s, seed):
     # The tuple codec path is the reference: same draws, same forests.
-    rng = substream(seed, 0)
-    oracle = mcf_from_walk(walk_from_degrees(shuffle_degrees(s, rng)))
-    trees = oracle.forest.trees
-    k = int(rng.integers(len(trees)))
-    assert sample_mcf(s, substream(seed, 0)) == oracle
-    assert sample_forest(s, substream(seed, 0)) == PlaneForest(trees[k:] + trees[:k])
+    m, _, f = tuple_codec_sample(s, substream(seed, 0))
+    assert sample_mcf(s, substream(seed, 0)) == m
+    assert sample_forest(s, substream(seed, 0)) == f
 
 
 def test_sample_forest_is_the_reference_rotation_on_200_seeds():
-    # The reference of perfbench's forest_1e6 replay: the tuple codec's marked
-    # cyclic forest, its trees rotated to start at tree rng.integers(c),
-    # drawn after the shuffle.
+    # The reference of perfbench's forest_1e6 replay, on 200 small sequences;
+    # the JSON is compared too.
     picks = rng_from_seed(25)
     starts = collections.Counter()
     for seed in range(200):
@@ -110,12 +103,8 @@ def test_sample_forest_is_the_reference_rotation_on_200_seeds():
         counts[0] = sum((i - 1) * k for i, k in counts.items()) + c
         s = validate(counts)
         assert s.n <= 50 and s.c == c
-        rng = substream(seed, 0)
-        oracle = mcf_from_walk(walk_from_degrees(shuffle_degrees(s, rng)))
-        trees = oracle.forest.trees
-        k = int(rng.integers(c))
+        oracle, k, expected = tuple_codec_sample(s, substream(seed, 0))
         starts[k] += 1
-        expected = PlaneForest(trees[k:] + trees[:k])
         f = sample_forest(s, substream(seed, 0))
         assert f == expected and f.to_json() == expected.to_json(), seed
         m = sample_mcf(s, substream(seed, 0))
@@ -131,16 +120,12 @@ def test_sample_forest_peak_memory_at_1e6():
     s = make_degree_sequence(geometric_profile(), 1_000_000, 125, seed=1)
     sample_forest(s, substream(1, 0))  # warm-up: first-call allocations
     for i in range(3):
-        tracemalloc.start()
-        try:
-            sample_forest(s, substream(1, i))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.75 * 8 * s.n, i
+        assert traced_peak(lambda: sample_forest(s, substream(1, i))) <= 2.75 * 8 * s.n, i
 
 
 def test_walk_statistics_matches_full_decode():
+    # Each replicate's record is walk_statistics on its substream, and its
+    # tree sizes are those of the tuple codec's marked cyclic forest.
     s = validate({0: 40, 1: 12, 2: 18, 3: 4, 5: 1})
     records = list(replicates(s, 5, 25))
     assert len(records) == 25
@@ -149,10 +134,7 @@ def test_walk_statistics_matches_full_decode():
         assert record.sizes.tolist() == ws.sizes.tolist()
         assert ws.sizes.sum() == s.n
         assert ws.tau_n == ws.sizes[:-1].sum()
-        walk = walk_from_degrees(ws.perm)  # the whole coding walk, W(0) = 0 first
-        assert ws.walk.tolist() == list(walk.values[1 : len(ws.walk) + 1])
-        assert len(ws.walk) <= min(s.n, 2 * ws.tau_n + 4096)
-        m = mcf_from_walk(walk)
+        m, _, _ = tuple_codec_sample(s, substream(5, rep))
         decoded = [t.size for t in m.forest.trees]
         assert decoded == ws.sizes.tolist()
         assert sorted(ws.ranked_sizes.tolist(), reverse=True) == ws.ranked_sizes.tolist()
@@ -161,20 +143,11 @@ def test_walk_statistics_matches_full_decode():
         assert ws.largest_is_marked == strictly_last
 
 
-def _full_walk_statistics(s, rng):
-    """The O(n) reference: the whole walk, its running minimum and the passage search."""
-    perm = rng.permutation(degree_vector(s))
-    depth = -np.minimum.accumulate(np.cumsum(perm - 1))
-    boundaries = np.append(np.searchsorted(depth, np.arange(1, s.c), side="left") + 1, s.n)
-    sizes = np.diff(boundaries, prepend=0)
-    order = np.argsort(-sizes, kind="stable")
-    return perm, boundaries, sizes, order
-
-
 def _assert_matches_full_walk(s, seed):
     ws = walk_statistics(s, substream(seed, 0))
-    perm, boundaries, sizes, order = _full_walk_statistics(s, substream(seed, 0))
+    perm, walk, boundaries, sizes, order = full_walk_statistics(s, substream(seed, 0))
     assert np.array_equal(ws.perm, perm)
+    assert np.array_equal(ws.walk, walk[: len(ws.walk)])
     assert np.array_equal(ws.boundaries, boundaries)
     assert np.array_equal(ws.sizes, sizes)
     assert np.array_equal(ws.ranked_order, order)
@@ -210,15 +183,9 @@ def test_walk_statistics_peak_memory_at_1e6():
     # prefix is all n steps; the passage search holds one window's running
     # minimum at a time, never a prefix-sized one.
     s = make_degree_sequence(geometric_profile(), 1_000_000, 125, seed=1)
-    walk_statistics(s, substream(1, 2))  # warm-up: first-call allocations
-    tracemalloc.start()
-    try:
-        ws = walk_statistics(s, substream(1, 2))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    ws = walk_statistics(s, substream(1, 2))  # warm-up: first-call allocations
     assert (ws.tau_n, len(ws.walk)) == (787_212, s.n)
-    assert peak < 21e6
+    assert traced_peak(lambda: walk_statistics(s, substream(1, 2))) < 21e6
 
 
 def test_walk_statistics_per_tree_degrees():

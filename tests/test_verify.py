@@ -183,9 +183,13 @@ def test_fixed_shape_reports_are_pinned():
         "bound": {"0.3": 0.7232502423798425, "0.5": 0.4065696597405991},
     }
     assert conc.passed == {"t=0.3": True, "t=0.5": True}
-    assert {k: v for k, v in conc.params.items() if k != "counts"} == {
-        "degree": 0, "reps": 20, "seed": 1, "thresholds": [0.3, 0.5],
+    # The shared params, so the report can be rerun from them, and its own.
+    assert conc.params["p"] == tau.params["p"]
+    assert {k: v for k, v in conc.params.items() if k not in ("p", "counts")} == {
+        "cn": 6, "degree": 0, "n": 2000, "reps": 20, "seed": 1, "thresholds": [0.3, 0.5],
     }
+    rerun = experiment_concentration(*(conc.params[k] for k in ("p", "n", "cn", "reps", "seed")))
+    assert rerun.stats == conc.stats
 
 
 @pytest.mark.parametrize("top_j", [0, -1])
