@@ -72,15 +72,20 @@ def all_plane_trees(max_n):
     return out
 
 
-def all_bridges(max_n):
-    """Every lattice bridge of length n <= max_n.  Its increments plus one are
-    n numbers >= 0 adding up to n - 1: the gaps between n - 1 bars placed
+def bridges_of_length(n):
+    """Every lattice bridge of length n.  Its increments plus one are n
+    numbers >= 0 adding up to n - 1: the gaps between n - 1 bars placed
     among 2n - 2 slots."""
+    for bars in itertools.combinations(range(2 * n - 2), n - 1):
+        edges = (-1, *bars, 2 * n - 2)
+        inc = [hi - lo - 2 for lo, hi in zip(edges, edges[1:])]
+        yield LatticeBridge(tuple(itertools.accumulate(inc, initial=0)))
+
+
+def all_bridges(max_n):
+    """Every lattice bridge of length n <= max_n."""
     for n in range(1, max_n + 1):
-        for bars in itertools.combinations(range(2 * n - 2), n - 1):
-            edges = (-1, *bars, 2 * n - 2)
-            inc = [hi - lo - 2 for lo, hi in zip(edges, edges[1:])]
-            yield LatticeBridge(tuple(itertools.accumulate(inc, initial=0)))
+        yield from bridges_of_length(n)
 
 
 def path_values(values):

@@ -21,8 +21,8 @@ from planeforest import (
 from planeforest.errors import MalformedBridge, NotAWalk
 from planeforest.lattice_paths import concat_segments
 from small_cases import (
-    all_bridges, bridge_values, coding_walk_values, extended_path_shift, first_passage,
-    first_passage_bridge_values, outcome, path_values, split_values, tree_lex,
+    all_bridges, bridge_values, bridges_of_length, coding_walk_values, extended_path_shift,
+    first_passage, first_passage_bridge_values, outcome, path_values, split_values, tree_lex,
     walk_values_from_degrees,
 )
 
@@ -119,20 +119,23 @@ def test_split_single_tree_walk():
     assert segments[0].values == w.values
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_rotation_lemma_small_lengths(n):
+    # Every bridge of length n: exactly one shift is a first-passage bridge,
+    # the one by r.
+    for b in bridges_of_length(n):
+        hits = [k for k in range(1, n + 1) if is_first_passage(cyclic_shift(b, k))]
+        assert hits == [rotation_index(b)], b.values
+
+
 def test_cyclic_shift_matches_extended_path_reference():
-    # Every bridge of length n <= 8, at every k: the shift, and the rotation
-    # lemma (exactly one shift is a first-passage bridge, the one by r).
+    # Every bridge of length n <= 8, at every k.
     bridges = shifts = 0
     for b in all_bridges(8):
         bridges += 1
-        hits = []
         for k in range(1, b.n + 1):
-            shifted = cyclic_shift(b, k)
-            assert shifted.values == extended_path_shift(b, k)
-            if is_first_passage(shifted):
-                hits.append(k)
+            assert cyclic_shift(b, k).values == extended_path_shift(b, k)
             shifts += 1
-        assert hits == [rotation_index(b)], b.values
     assert (bridges, shifts) == (4707, 35889)
 
 
