@@ -5,13 +5,18 @@ pulling back through the n-to-c marking map (uniform rotation, drop the
 mark) gives an exactly uniform plane forest.  Each sample is one O(n)
 shuffle; the replicate kernel then sums the coding walk only up to the last
 small tree, O(tau_n), and sampling a forest adds O(n) for the marked tree.
-Everything is deterministic given (degree sequence, seed).
+Everything is deterministic given (degree sequence, seed): replicate i
+draws only from ``substream(seed, i)``, so the replicate loops draw their
+replicates side by side, one worker thread per CPU, and yield them in
+index order with the same bits on any number of CPUs.
 """
 
 from __future__ import annotations
 
+import collections
+import os
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -47,15 +52,17 @@ def _marked_arrays(s: DegreeSequence, rng: np.random.Generator, uniform_start: b
     is the first argmin of its own walk (the rotation lemma); its mark is
     lex position m - r + 1.  With ``uniform_start`` the trees are rotated to
     start at a uniform tree k, drawn after the shuffle; otherwise k = 0.
-    The marked tree's walk is summed in the kernel's walk buffer, and the
+    The degree vector is int64, whose shuffle is faster than a narrow one.
+    The marked tree's walk is summed in an n-sized output buffer, and the
     trees k..c-2, the rolled marked tree and the trees 0..k-1 are then
     copied into that buffer once.  Each caller checks the arrays it
     returns once, as a whole forest.
     """
     perm = shuffle_degrees(s, rng)
-    buf, _, bounds = _tree_boundaries(perm, s.c)
+    _, bounds = _tree_boundaries(perm, s.c)
     sizes = np.diff(bounds, prepend=0)
     marked = s.n - int(sizes[-1])  # the marked tree's first node
+    buf = np.empty(s.n, dtype=np.int64)
     walk = buf[marked:]
     np.subtract(perm[marked:], 1, out=walk)
     r = int(np.argmin(np.cumsum(walk, out=walk))) + 1
@@ -78,14 +85,19 @@ def sample_forest(s: DegreeSequence, rng: np.random.Generator) -> PlaneForest:
     return PlaneForest._from_lex(lex, sizes)
 
 
+_COUNT_BLOCK = 1 << 14  # entries per bincount in tree_degree_counts
+
+
 @dataclass
 class WalkStatistics:
     """One sampled replicate's summary, without trees.
 
-    ``perm`` is the shuffled degree vector (O(n)); ``walk`` is its coding
-    walk up to the end of the doubling window in which the walk first
-    reaches -(c-1), at most min(n, 2 tau_n + 4096) steps and empty when
-    c = 1; ``boundaries`` are the ends of the c tree segments, each passage
+    ``perm`` is the shuffled degree vector (O(n)), in the narrowest unsigned
+    dtype that holds its largest degree: one byte per node for degrees up to
+    255.  ``steps`` is the length of the coding walk that the kernel summed:
+    up to the end of the doubling window in which the walk first reaches
+    -(c-1), at most min(n, 2 tau_n + 4096) steps and 0 when c = 1.
+    ``boundaries`` are the ends of the c tree segments, each passage
     time found in the window that reaches it.  ``sizes`` lists tree sizes
     in marked-cyclic-forest order (the marked tree is last); ``tau_n`` is
     the total size of the non-marked trees;
@@ -93,8 +105,8 @@ class WalkStatistics:
     largest (ties count against, matching the earlier-tree tie rule).
     """
 
-    walk: np.ndarray
     perm: np.ndarray
+    steps: int
     boundaries: np.ndarray
     sizes: np.ndarray
     ranked_sizes: np.ndarray
@@ -102,59 +114,83 @@ class WalkStatistics:
     tau_n: int
     largest_is_marked: bool
 
+    @property
+    def walk(self) -> np.ndarray:
+        """The coding walk's first ``steps`` values (int64), summed again from
+        ``perm`` on each access."""
+        walk = np.subtract(self.perm[: self.steps], 1, dtype=np.int64)
+        return np.cumsum(walk, out=walk)
+
     def tree_degree_counts(self, rank: int) -> np.ndarray:
         """Degree histogram of the rank-th largest tree (1-based rank)."""
         t = int(self.ranked_order[rank - 1])
         lo = 0 if t == 0 else int(self.boundaries[t - 1])
-        hi = int(self.boundaries[t])
-        return np.bincount(self.perm[lo:hi])
+        tree = self.perm[lo : int(self.boundaries[t])]
+        # bincount copies its input to intp, so a narrow perm is counted a
+        # block at a time, with no tree-sized copy.
+        counts = np.zeros(int(tree.max()) + 1, dtype=np.int64)
+        for i in range(0, len(tree), _COUNT_BLOCK):
+            counts += np.bincount(tree[i : i + _COUNT_BLOCK], minlength=len(counts))
+        return counts
 
 
 _FIRST_WINDOW = 4096  # steps summed before the first passage check
 
 
-def _tree_boundaries(perm: np.ndarray, c: int) -> tuple[np.ndarray, int, np.ndarray]:
-    """(buf, hi, ends of the c tree segments) of a shuffled degree vector.
+def _tree_boundaries(perm: np.ndarray, c: int) -> tuple[int, np.ndarray]:
+    """(hi, ends of the c tree segments) of a shuffled degree vector.
 
-    The walk is summed in windows of doubling length, each written into the
-    n-sized buffer ``buf``, until a window reaches -(c-1); ``buf[:hi]`` is
-    then the walk prefix and the rest of ``buf`` is unset.  The first c-1
-    boundaries (1-based step counts) are the first passage times of -1, ...,
-    -(c-1), found in each window from that window's own running minimum, so
-    the search needs no prefix-sized temporary.  The marked tree's lattice
-    bridge may dip below -c early, so its segment always ends at n.
+    The walk is summed in windows of doubling length until a window reaches
+    -(c-1) at step hi.  Each window is a new int64 array (a narrow ``perm``
+    would wrap at 0 - 1), started from the walk's value at the end of the
+    one before.  The first c-1 boundaries (1-based step counts) are the
+    first passage times of -1, ..., -(c-1), found in each window from its
+    running minimum, taken in the window's own storage, so the search holds
+    one window-sized array at a time.  The marked tree's lattice bridge may
+    dip below -c early, so its segment always ends at n.
     """
     n = len(perm)
-    buf = np.empty(n, dtype=np.int64)
     bounds = np.full(c, n, dtype=np.int64)
-    hi, found = 0, 0  # the walk before step hi reaches -found and no lower level
+    # The walk before step hi reaches -found and no lower level; last is its value at step hi.
+    hi, found, last = 0, 0, 0
     while found < c - 1:
         lo, hi = hi, min(n, 2 * hi + _FIRST_WINDOW)
-        window = buf[lo:hi]
-        np.subtract(perm[lo:hi], 1, out=window)
+        window = np.subtract(perm[lo:hi], 1, dtype=np.int64)
         np.cumsum(window, out=window)
         if lo:
-            window += buf[lo - 1]
-        depth = np.minimum.accumulate(window)
-        np.negative(depth, out=depth)
+            window += last
+        last = int(window[-1])
+        depth = np.negative(np.minimum.accumulate(window, out=window), out=window)
         reached = max(found, min(int(depth[-1]), c - 1))  # a window may stay above -found
         bounds[found:reached] = np.searchsorted(depth, np.arange(found + 1, reached + 1)) + lo + 1
         found = reached
-        del depth
-    return buf, hi, bounds
+        del window, depth  # freed before the next, larger window is allocated
+    return hi, bounds
+
+
+def _narrow_degree_vector(s: DegreeSequence) -> np.ndarray:
+    """d(s), as ``degree_vector``, in the narrowest unsigned dtype that holds
+    its largest degree."""
+    degrees = sorted(s.counts)
+    values = np.array(degrees, dtype=np.min_scalar_type(degrees[-1]))
+    return np.repeat(values, [s.counts[i] for i in degrees])
 
 
 def walk_statistics(s: DegreeSequence, rng: np.random.Generator) -> WalkStatistics:
-    """Sample one replicate and summarize it without materializing trees."""
-    perm = shuffle_degrees(s, rng)
-    buf, hi, boundaries = _tree_boundaries(perm, s.c)
+    """Sample one replicate and summarize it without materializing trees.
+
+    Its shuffle makes the same draws as ``shuffle_degrees``: they depend
+    only on the vector's length, not on its dtype."""
+    perm = _narrow_degree_vector(s)
+    rng.shuffle(perm)
+    steps, boundaries = _tree_boundaries(perm, s.c)
     sizes = np.diff(boundaries, prepend=0)
     order = np.argsort(-sizes, kind="stable")
     ranked = sizes[order]
     tau_n = int(boundaries[s.c - 2]) if s.c >= 2 else 0
     return WalkStatistics(
-        walk=buf[:hi],
         perm=perm,
+        steps=steps,
         boundaries=boundaries,
         sizes=sizes,
         ranked_sizes=ranked,
@@ -164,12 +200,49 @@ def walk_statistics(s: DegreeSequence, rng: np.random.Generator) -> WalkStatisti
     )
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_order(fn: Callable[[int], object], count: int) -> Iterator:
+    """fn(0), ..., fn(count - 1), yielded in index order.
+
+    The calls run on min(count, CPUs) worker threads, at most one call per
+    worker in flight: index i + workers is submitted only once result i is
+    taken.  A call's exception is raised when its index is reached.  The
+    pool is shut down when the generator ends or is closed.  With one
+    worker the calls run in the caller's thread.
+    """
+    workers = min(count, _cpus())
+    if workers <= 1:
+        yield from map(fn, range(count))
+        return
+    # Imported here: through logging it costs about 10 ms, which a run that
+    # never maps replicates should not pay.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        ahead = collections.deque()
+        for i in range(count):
+            ahead.append(pool.submit(fn, i))
+            if len(ahead) == workers:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+
+
 def replicates(s: DegreeSequence, seed: int, reps: int) -> Iterator[WalkStatistics]:
     """Replicates 0, ..., reps - 1 of run ``seed``: replicate i is the kernel on
-    ``substream(seed, i)``.  A caller's loop variable keeps the previous record's
-    O(n) arrays alive while the next is drawn; ``map`` over the records does not."""
-    for i in range(reps):
-        yield walk_statistics(s, substream(seed, i))
+    ``substream(seed, i)``, yielded in index order.  They are drawn on one
+    worker thread per CPU (at most one in flight per worker), so the records
+    are the same on any number of CPUs.  While the caller reads record i, up
+    to one record per worker is being drawn; a loop variable that keeps
+    record i alive adds one more, ``map`` over the records does not."""
+    yield from _in_order(lambda i: walk_statistics(s, substream(seed, i)), reps)
 
 
 def forest_summary_csv_header(top_j: int) -> str:

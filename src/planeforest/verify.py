@@ -2,9 +2,10 @@
 
 Each experiment is a pure function of (parameters, seed): replicates draw
 from per-index substreams, so reports are bit-reproducible and independent
-of execution order.  Reference laws are the closed-form first-passage CDF
-for tau-type statistics and simulated limit replicates for ranked
-excursion lengths.
+of execution order; the replicate loops draw on every CPU and still read
+their replicates in index order.  Reference laws are the closed-form
+first-passage CDF for tau-type statistics and simulated limit replicates
+for ranked excursion lengths.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .degseq import DegreeSequence, empirical, limit_sigma, make_degree_sequence
 from .errors import EmptySample
 from .limit_sim import _check_sigma, _erfc, tau_cdf, uncensored_limit_draws
-from .sampler import replicates, shuffle_degrees, substream
+from .sampler import _in_order, replicates, shuffle_degrees, substream
 
 DEFAULT_T_CAP = 500.0
 LIMIT_FIRST = 10_000_000  # substream index of the first limit draw
@@ -172,7 +173,7 @@ def experiment_walk(p, n: int, cn: int, reps: int, seed: int) -> ExperimentRepor
         walk = np.cumsum(shuffle_degrees(s, substream(seed, rep))[:kmax] - 1)
         return np.concatenate(([0], walk))[[*ks_idx, kmax // 2]]
 
-    rows = np.array(list(map(row, range(reps))))
+    rows = np.array(list(_in_order(row, reps)))
     vals = rows[:, :-1] / cn
     # Two disjoint increments for the diagnostic: W(kmax // 2) and W(kmax) - W(kmax // 2).
     half = np.column_stack((rows[:, -1], rows[:, -2] - rows[:, -1]))
@@ -256,7 +257,7 @@ def experiment_concentration(p, n: int, cn: int, reps: int, seed: int) -> Experi
     ms = np.arange(cn + 1, n + 1, dtype=float)
     leaves = lambda rep: np.cumsum(shuffle_degrees(s, substream(seed, rep)) == _CONC_DEGREE)
     sup = lambda rep: np.abs(p_i - leaves(rep)[cn:] / ms).max()
-    sups = np.array(list(map(sup, range(reps))))
+    sups = np.array(list(_in_order(sup, reps)))
     stats: dict = {"p_i": p_i, "cn": cn, "exceedance": {}, "bound": {}}
     passed: dict = {}
     for t in _CONC_THRESHOLDS:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from planeforest import forest_codec
+from planeforest import forest_codec, sampler
 from planeforest.cli import EXIT_CRITERION, EXIT_INVALID, EXIT_OK, main
 from planeforest.degseq import geometric_profile, make_degree_sequence
 from planeforest.sampler import sample_forest, substream, walk_statistics
@@ -138,14 +138,16 @@ def test_sample_forest_checks_the_forest_it_returns(monkeypatch, seed):
     assert len(checks) == 1
 
 
-@pytest.mark.parametrize("command, n, c", [
+_REPLICATE_LOOPS = pytest.mark.parametrize("command, n, c", [
     ("verify degrees", 200_000, 21),
     ("sample forest --format csv", 1_000_000, 125),
 ])
-def test_replicate_loops_hold_one_record(tmp_path, command, n, c):
-    # Each replicate's O(n) arrays are freed before the next is drawn, so
-    # three replicates peak no higher than the largest of their kernel calls
-    # (a call's peak grows with its replicate's walk prefix).
+
+
+def _loop_and_kernel_peaks(tmp_path, monkeypatch, command, n, c, workers):
+    """Traced peaks of three replicates through the CLI on ``workers`` worker
+    threads, and of the largest of their kernel calls alone."""
+    monkeypatch.setattr(sampler, "_cpus", lambda: workers)
     s = make_degree_sequence(geometric_profile(), n, c, seed=1)
     ds, out = tmp_path / "s.json", tmp_path / "out"
     ds.write_text(s.to_json())
@@ -154,8 +156,23 @@ def test_replicate_loops_hold_one_record(tmp_path, command, n, c):
     argv = [*command.split(), *args, "--seed", "1", "--out", str(out)]
     assert main(argv) in (EXIT_OK, EXIT_CRITERION)  # warm-up: first-call allocations
     peak = traced_peak(lambda: main(argv))
-    one = max(traced_peak(lambda: walk_statistics(s, substream(1, i))) for i in range(3))
+    return peak, max(traced_peak(lambda: walk_statistics(s, substream(1, i))) for i in range(3))
+
+
+@_REPLICATE_LOOPS
+def test_replicate_loops_hold_one_record(tmp_path, monkeypatch, command, n, c):
+    # Each replicate's O(n) arrays are freed before the next is drawn, so
+    # on one worker three replicates peak no higher than the largest of their
+    # kernel calls (a call's peak grows with its replicate's walk prefix).
+    peak, one = _loop_and_kernel_peaks(tmp_path, monkeypatch, command, n, c, workers=1)
     assert peak <= 1.1 * one
+
+
+@_REPLICATE_LOOPS
+def test_replicate_loops_hold_one_record_per_worker(tmp_path, monkeypatch, command, n, c):
+    # With at most one call per worker in flight, two workers hold at most two.
+    peak, one = _loop_and_kernel_peaks(tmp_path, monkeypatch, command, n, c, workers=2)
+    assert peak <= 1.1 * 2 * one
 
 
 def test_sample_writes_each_record_as_it_is_drawn(tmp_path):

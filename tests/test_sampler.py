@@ -3,6 +3,8 @@
 import collections
 import itertools
 import math
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -115,8 +117,8 @@ def test_sample_forest_is_the_reference_rotation_on_200_seeds():
 def test_sample_forest_peak_memory_at_1e6():
     # These three peak at 2.01-2.48 x 8n bytes, with or without the two
     # np.roll copies the one-copy rotation replaced: the shuffled vector, the
-    # kernel's walk buffer (which then holds the rotated forest) and one
-    # window's running minimum.  One more O(n) array would pass 2.75.
+    # n-sized output buffer (the marked tree's walk, then the rotated forest)
+    # and one window.  One more O(n) array would pass 2.75.
     s = make_degree_sequence(geometric_profile(), 1_000_000, 125, seed=1)
     sample_forest(s, substream(1, 0))  # warm-up: first-call allocations
     for i in range(3):
@@ -178,14 +180,89 @@ def test_walk_statistics_matches_full_walk_reference_at_1e6():
     _assert_matches_full_walk(make_degree_sequence(geometric_profile(), 1_000_000, 125, seed=1), 17)
 
 
+@pytest.mark.parametrize("degree, dtype", [
+    (255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.uint32),
+])
+@pytest.mark.parametrize("first_window", [1, 4096])
+def test_walk_statistics_in_the_narrowest_dtype_matches_full_walk(degree, dtype, first_window):
+    # The degree vector is stored in the narrowest dtype that holds its largest
+    # degree; the walk of such a vector must not wrap at 0 - 1, at the largest
+    # degree or across a window's carried value.  c = 3 and one node of the
+    # largest degree, so the walk climbs by degree - 1 in one step.
+    s = validate({0: degree + 2, 1: 50, degree: 1})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler, "_FIRST_WINDOW", first_window)
+        for seed in range(4):
+            assert walk_statistics(s, substream(seed, 0)).perm.dtype == dtype
+            _assert_matches_full_walk(s, seed)
+
+
 def test_walk_statistics_peak_memory_at_1e6():
     # This replicate's walk first reaches -124 at tau_n = 787,212, so the walk
-    # prefix is all n steps; the passage search holds one window's running
-    # minimum at a time, never a prefix-sized one.
+    # prefix is all n steps.  The record holds the degree vector at one byte
+    # per node (1e6 bytes), and the passage search holds one int64 window at a
+    # time, never a prefix-sized one: the last is 1e6 - 520,192 steps (3.84e6
+    # bytes).
     s = make_degree_sequence(geometric_profile(), 1_000_000, 125, seed=1)
     ws = walk_statistics(s, substream(1, 2))  # warm-up: first-call allocations
     assert (ws.tau_n, len(ws.walk)) == (787_212, s.n)
-    assert traced_peak(lambda: walk_statistics(s, substream(1, 2))) < 21e6
+    assert traced_peak(lambda: walk_statistics(s, substream(1, 2))) < 5.1e6
+
+
+def _fields(ws):
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(ws).items()}
+
+
+def test_replicates_are_the_same_on_any_number_of_cpus(monkeypatch):
+    # Replicate i draws only from substream(seed, i), so drawing them side by
+    # side changes no field of any record, nor the records' order.
+    s = make_degree_sequence(geometric_profile(), 20_000, 12, seed=3)
+    records = {}
+    for cpus in (1, 3):
+        monkeypatch.setattr(sampler, "_cpus", lambda: cpus)
+        records[cpus] = [_fields(ws) for ws in replicates(s, 7, 11)]
+    assert records[1] == records[3]
+    assert records[1] == [_fields(walk_statistics(s, substream(7, i))) for i in range(11)]
+
+
+class _Raised(Exception):
+    pass
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_in_order_raises_in_index_order_and_leaves_no_threads(monkeypatch, cpus):
+    # Calls 3 and 5 raise; 5 may finish first on another worker, but the caller
+    # sees results 0, 1 and 2 and then the exception of call 3.
+    def fn(i):
+        if i in (3, 5):
+            raise _Raised(i)
+        return i * i
+
+    monkeypatch.setattr(sampler, "_cpus", lambda: cpus)
+    threads = threading.active_count()
+    seen = []
+    with pytest.raises(_Raised) as err:
+        for x in sampler._in_order(fn, 8):
+            seen.append(x)
+    assert (seen, err.value.args) == ([0, 1, 4], (3,))
+    assert threading.active_count() == threads
+    # A generator closed early shuts its pool down too.
+    early = sampler._in_order(lambda i: i, 8)
+    assert next(early) == 0
+    early.close()
+    assert threading.active_count() == threads
+    assert list(sampler._in_order(lambda i: i, 5)) == [0, 1, 2, 3, 4]
+
+
+def test_in_order_keeps_one_call_per_worker_in_flight(monkeypatch):
+    # While the caller holds result i, calls up to i + workers - 1 may have
+    # started, none later: the caller's pause gives idle workers time to
+    # start any call that was submitted too early.
+    monkeypatch.setattr(sampler, "_cpus", lambda: 3)
+    started = []
+    for i, x in enumerate(sampler._in_order(lambda j: started.append(j) or j, 12)):
+        time.sleep(0.02)
+        assert x == i and max(started) <= i + 2
 
 
 def test_walk_statistics_per_tree_degrees():

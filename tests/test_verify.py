@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import scipy.stats
 from scipy.stats import norm
 
 from planeforest import ks_one_sample, ks_two_sample
-from planeforest import verify
+from planeforest import sampler, verify
 from planeforest.degseq import geometric_profile
 from planeforest.errors import EmptySample
 from planeforest.verify import (
@@ -271,3 +272,22 @@ def test_experiment_tau_degenerate_at_one_tree():
     assert rep.stats == {"degenerate": True, "sigma": rep.stats["sigma"]}
     assert rep.passed == {"degenerate_tau_zero": True}
     assert rep.ok
+
+
+@pytest.mark.parametrize("run", [
+    lambda p: experiment_tau(p, 5000, 8, 9, seed=4),
+    lambda p: experiment_tree_sizes(p, 5000, 8, 9, top_j=3, seed=4, limit_reps=20, dt=1e-3),
+    lambda p: experiment_walk(p, 5000, 8, 9, seed=4),
+    lambda p: experiment_degrees(p, 5000, 8, 9, seed=4),
+    lambda p: experiment_largest_marked(p, 5000, 8, 9, seed=4),
+    lambda p: experiment_concentration(p, 5000, 8, 9, seed=4),
+], ids=["tau", "tree_sizes", "walk", "degrees", "largest_marked", "concentration"])
+def test_reports_do_not_depend_on_the_cpu_count(monkeypatch, run):
+    # The replicate loops draw on every CPU and read their replicates in index
+    # order: a report is the same bytes on one CPU and on three, apart from
+    # its wall-clock runtime.
+    texts = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(sampler, "_cpus", lambda: cpus)
+        texts.append(re.sub(r'"runtime": [^,}]*', "", run(geometric_profile()).to_json()))
+    assert texts[0] == texts[1]
