@@ -5,19 +5,27 @@ running minimum to get R, stop at the first passage time tau(x) of level
 -x, and rank the excursion intervals of R by decreasing length.  The law
 of tau(1/sigma) is known in closed form (one-sided stable-1/2), which
 gives both an exact sampler and the reference CDF for every tau check.
+The excursion draws of the limit side run on one worker thread per CPU,
+each on its own substream, and are read in index order, so they are the
+same on any number of CPUs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
 
 from .errors import CapExceeded, DomainError
-from .sampler import substream
+from .sampler import _in_order, substream
 
 _CHUNK = 1 << 15
 T_CAP = 1000.0  # default censoring time of every limit-side draw
+# Limit draws in flight per worker thread.  The draw times are heavy-tailed
+# (censored draws run to t_cap), so one call per worker leaves the others
+# idle behind a long one; a kept draw's result is only a few floats.
+_LOOK_AHEAD = 32
 _erfc = np.vectorize(math.erfc, otypes=[float])
 
 
@@ -187,6 +195,19 @@ def sample_limit_vector(sigma: float, top_j: int, dt: float, rng: np.random.Gene
         run_min = min(run_min, low)
 
 
+def _limit_draw(sigma, top_j, dt, seed, index, t_cap):
+    """sample_limit_vector on substream(seed, index), or, for a censored draw,
+    its CapExceeded message.
+
+    A message, not the exception: its traceback would keep the draw's chunk
+    buffer alive while the result waits in the look-ahead window.
+    """
+    try:
+        return sample_limit_vector(sigma, top_j, dt, substream(seed, index), t_cap)
+    except CapExceeded as exc:
+        return str(exc)
+
+
 def uncensored_limit_draws(sigma: float, top_j: int, dt: float, count: int, seed: int,
                            first: int = 0, t_cap: float = T_CAP) -> tuple[np.ndarray, ...]:
     """The first ``count`` uncensored sample_limit_vector draws.
@@ -198,19 +219,29 @@ def uncensored_limit_draws(sigma: float, top_j: int, dt: float, count: int, seed
     number indices[-1] + 1 - first - count.  Once more than count + 20
     draws are censored, sigma is taken to be too small for t_cap and that
     CapExceeded is raised rather than drawing on.
+
+    The draws run on one worker thread per CPU, up to _LOOK_AHEAD per worker
+    ahead of the one being read, since a censored draw can take a thousand
+    times as long as a typical one.  They are read in index order, so the
+    arrays, and the draw that gives up, are the same on any number of CPUs.
+    Draws not yet started when the count is reached are cancelled.
     """
     indices = np.empty(count, dtype=np.int64)
     taus = np.empty(count)
     lengths = np.empty((count, top_j))
-    row, idx = 0, first
-    while row < count:
-        try:
-            tau, top = sample_limit_vector(sigma, top_j, dt, substream(seed, idx), t_cap)
-        except CapExceeded:
-            if idx + 1 - first - row > count + 20:
-                raise
-        else:
-            indices[row], taus[row], lengths[row] = idx, tau, top
+    row = 0
+    # At most count - 1 kept and count + 21 censored draws are read.
+    draws = _in_order(lambda i: _limit_draw(sigma, top_j, dt, seed, first + i, t_cap),
+                      count and 2 * count + 20, _LOOK_AHEAD)
+    with contextlib.closing(draws):
+        for i, draw in enumerate(draws):
+            if isinstance(draw, str):
+                if i + 1 - row > count + 20:
+                    raise CapExceeded(draw)
+                continue
+            indices[row] = first + i
+            taus[row], lengths[row] = draw
             row += 1
-        idx += 1
+            if row == count:
+                break
     return indices, taus, lengths

@@ -208,14 +208,15 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _in_order(fn: Callable[[int], object], count: int) -> Iterator:
+def _in_order(fn: Callable[[int], object], count: int, window: int = 1) -> Iterator:
     """fn(0), ..., fn(count - 1), yielded in index order.
 
-    The calls run on min(count, CPUs) worker threads, at most one call per
-    worker in flight: index i + workers is submitted only once result i is
-    taken.  A call's exception is raised when its index is reached.  The
-    pool is shut down when the generator ends or is closed.  With one
-    worker the calls run in the caller's thread.
+    The calls run on min(count, CPUs) worker threads, at most ``window``
+    calls per worker in flight: index i + window * workers is submitted only
+    once result i is taken.  A call's exception is raised when its index is
+    reached.  When the generator ends or is closed, the calls not yet
+    started are cancelled and the pool is shut down.  With one worker the
+    calls run in the caller's thread.
     """
     workers = min(count, _cpus())
     if workers <= 1:
@@ -225,24 +226,36 @@ def _in_order(fn: Callable[[int], object], count: int) -> Iterator:
     # never maps replicates should not pay.
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(workers) as pool:
+    pool = ThreadPoolExecutor(workers)
+    try:
         ahead = collections.deque()
         for i in range(count):
             ahead.append(pool.submit(fn, i))
-            if len(ahead) == workers:
+            if len(ahead) == window * workers:
                 yield ahead.popleft().result()
         while ahead:
             yield ahead.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def replicates(s: DegreeSequence, seed: int, reps: int) -> Iterator[WalkStatistics]:
     """Replicates 0, ..., reps - 1 of run ``seed``: replicate i is the kernel on
-    ``substream(seed, i)``, yielded in index order.  They are drawn on one
-    worker thread per CPU (at most one in flight per worker), so the records
-    are the same on any number of CPUs.  While the caller reads record i, up
-    to one record per worker is being drawn; a loop variable that keeps
-    record i alive adds one more, ``map`` over the records does not."""
-    yield from _in_order(lambda i: walk_statistics(s, substream(seed, i)), reps)
+    ``substream(seed, i)``, yielded in index order.  Above one first window
+    of steps (n > 4,096) they are drawn on one worker thread per CPU (at
+    most one in flight per worker), so the records are the same on any
+    number of CPUs.  While the caller reads record i, up to one record per
+    worker is being drawn; a loop variable that keeps record i alive adds
+    one more, ``map`` over the records does not."""
+    def draw(i):
+        return walk_statistics(s, substream(seed, i))
+
+    if s.n <= _FIRST_WINDOW:
+        # The walk is one window and the kernel is bound by the interpreter,
+        # so worker threads would only contend for its lock.
+        yield from map(draw, range(reps))
+    else:
+        yield from _in_order(draw, reps)
 
 
 def forest_summary_csv_header(top_j: int) -> str:

@@ -264,14 +264,19 @@ def test_limit_excursions(capsys):
         assert row["lengths"] == sorted(row["lengths"], reverse=True)
 
 
-def test_limit_excursions_skip_censored_draws(capsys):
+def test_limit_excursions_skip_censored_draws(capsys, monkeypatch):
     # At sigma = 0.2 the draw on substream 5 of seed 6 does not reach -5
-    # before t_cap = 1000; it is skipped, not an error.
-    code, out = run(
-        capsys, "limit", "excursions", "--sigma", "0.2", "--count", "6",
-        "--dt", "0.01", "--top", "2", "--seed", "6",
-    )
-    assert code == EXIT_OK
+    # before t_cap = 1000; it is skipped, not an error.  The draws run on
+    # every CPU and print the same bytes on one CPU and on three.
+    outs = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(sampler, "_cpus", lambda: cpus)
+        outs.append(run(
+            capsys, "limit", "excursions", "--sigma", "0.2", "--count", "6",
+            "--dt", "0.01", "--top", "2", "--seed", "6",
+        ))
+    (code, out), threaded = outs
+    assert code == EXIT_OK and threaded == (code, out)
     rows = [json.loads(line) for line in out.strip().splitlines()]
     assert [row["replicate"] for row in rows] == [0, 1, 2, 3, 4, 6]
     assert all(row["seed"] == 6 and len(row["lengths"]) == 2 for row in rows)

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from planeforest import (
     tau_density,
     uncensored_limit_draws,
 )
-from planeforest import limit_sim
+from planeforest import limit_sim, sampler
 from planeforest.errors import CapExceeded, DomainError
 from small_cases import outcome, traced_peak
 
@@ -204,9 +206,8 @@ def test_uncensored_limit_draws_skip_the_censored_substreams():
     assert [a.shape for a in empty] == [(0,), (0,), (0, 2)]
 
 
-def test_uncensored_limit_draws_give_up_when_most_draws_are_censored(monkeypatch):
-    # x = 100 is never reached before t_cap = 1: 3 + 20 draws are skipped,
-    # the 24th raises instead of looping for ever.
+def _counted_draws(monkeypatch):
+    """The sample_limit_vector calls that uncensored_limit_draws makes, as a list."""
     calls = []
     real = limit_sim.sample_limit_vector
 
@@ -215,9 +216,129 @@ def test_uncensored_limit_draws_give_up_when_most_draws_are_censored(monkeypatch
         return real(*args, **kwargs)
 
     monkeypatch.setattr(limit_sim, "sample_limit_vector", counted)
+    return calls
+
+
+def test_uncensored_limit_draws_give_up_when_most_draws_are_censored(monkeypatch):
+    # x = 100 is never reached before t_cap = 1: 3 + 20 draws are skipped,
+    # the 24th raises instead of looping for ever.  On one CPU the draws run
+    # one at a time in the caller's thread, so no later draw is made.
+    monkeypatch.setattr(sampler, "_cpus", lambda: 1)
+    calls = _counted_draws(monkeypatch)
     with pytest.raises(CapExceeded):
         uncensored_limit_draws(0.01, 1, 1e-2, 3, 37, t_cap=1.0)
     assert len(calls) == 24
+
+
+def test_threaded_limit_draws_give_up_on_the_same_draw(monkeypatch):
+    # On three CPUs the workers draw ahead of the 24th draw, but no further
+    # than the 2 * 3 + 20 draws that the give-up rule can read, and the
+    # same CapExceeded is raised with no worker left running.
+    monkeypatch.setattr(sampler, "_cpus", lambda: 3)
+    calls = _counted_draws(monkeypatch)
+    threads = threading.active_count()
+    with pytest.raises(CapExceeded, match=r"^no passage of -100.0 before t_cap=1.0$"):
+        uncensored_limit_draws(0.01, 1, 1e-2, 3, 37, t_cap=1.0)
+    assert 24 <= len(calls) <= 2 * 3 + 21
+    assert threading.active_count() == threads
+
+
+def test_uncensored_limit_draws_are_the_same_on_any_number_of_cpus(monkeypatch):
+    # At t_cap = 2 about half of the draws at sigma = 1 are censored.
+    got = {}
+    for cpus in (1, 3):
+        monkeypatch.setattr(sampler, "_cpus", lambda: cpus)
+        draws = uncensored_limit_draws(1.0, 2, 1e-2, 40, 38, first=3, t_cap=2.0)
+        got[cpus] = [a.tobytes() for a in draws]
+    assert got[1] == got[3]
+    idx = np.frombuffer(got[1][0], dtype=np.int64)
+    assert idx[-1] + 1 - 3 - 40 > 0  # some draws were censored
+
+
+def test_limit_draws_leave_no_threads(monkeypatch):
+    monkeypatch.setattr(sampler, "_cpus", lambda: 3)
+    threads = threading.active_count()
+    # The count is reached with draws still queued.
+    uncensored_limit_draws(1.0, 2, 1e-2, 5, 38, t_cap=2.0)
+    assert threading.active_count() == threads
+    # The give-up raise.
+    with pytest.raises(CapExceeded):
+        uncensored_limit_draws(0.01, 1, 1e-2, 2, 37, t_cap=1.0)
+    assert threading.active_count() == threads
+    # A draw that raises closes the map early.
+    with pytest.raises(DomainError):
+        uncensored_limit_draws(math.nan, 1, 1e-2, 4, 37, t_cap=1.0)
+    assert threading.active_count() == threads
+
+
+def test_limit_draws_cancel_the_queued_draws_once_the_count_is_reached(monkeypatch):
+    # Draw 0 is kept at once and every later draw takes 0.2 s: once draw 0 is
+    # read, only the draws already running on the three workers are made,
+    # not the 21 queued behind them.
+    monkeypatch.setattr(sampler, "_cpus", lambda: 3)
+    calls = _counted_draws(monkeypatch)
+    real = limit_sim._limit_draw
+
+    def draw(sigma, top_j, dt, seed, index, t_cap):
+        if index:
+            time.sleep(0.2)
+        return real(sigma, top_j, dt, seed, index, t_cap)
+
+    monkeypatch.setattr(limit_sim, "_limit_draw", draw)
+    idx, _, _ = uncensored_limit_draws(1.0, 1, 1e-2, 1, 38, t_cap=50.0)
+    assert idx.tolist() == [0] and len(calls) <= 1 + 3
+
+
+def _first_draw_waits_for(monkeypatch, later, timeout=10.0):
+    """Make draw 0 wait (up to ``timeout`` seconds, then raise TimeoutError)
+    until draw ``later`` has finished; the returned Event is set once it has."""
+    done = threading.Event()
+    real = limit_sim._limit_draw
+
+    def draw(sigma, top_j, dt, seed, index, t_cap):
+        if index == 0 and not done.wait(timeout):
+            raise TimeoutError(f"draw {later} was not made while draw 0 ran")
+        out = real(sigma, top_j, dt, seed, index, t_cap)
+        if index == later:
+            done.set()
+        return out
+
+    monkeypatch.setattr(limit_sim, "_limit_draw", draw)
+    return done
+
+
+@pytest.mark.parametrize("window", [1, None])
+def test_limit_draws_look_ahead_of_a_slow_draw(monkeypatch, window):
+    # Draw 0 finishes only after draw 12 has: with one draw in flight per
+    # worker, draw 12 would wait for draw 0 to be read, so the window must
+    # reach more than four draws per worker past the one being read.
+    monkeypatch.setattr(sampler, "_cpus", lambda: 3)
+    if window is not None:
+        monkeypatch.setattr(limit_sim, "_LOOK_AHEAD", window)
+    done = _first_draw_waits_for(monkeypatch, 12, timeout=1.0 if window == 1 else 10.0)
+    if window == 1:
+        with pytest.raises(TimeoutError):
+            uncensored_limit_draws(1.0, 1, 1e-2, 20, 40, t_cap=50.0)
+        return
+    idx, _, _ = uncensored_limit_draws(1.0, 1, 1e-2, 20, 40, t_cap=50.0)
+    assert done.is_set() and idx[0] == 0
+
+
+def test_censored_draws_waiting_in_the_window_hold_no_chunk(monkeypatch):
+    # x = 100 is not reached before t_cap = 40 (40,000 steps, one full chunk
+    # buffer per draw).  While draw 0 waits, the other two workers finish
+    # draws 1..25; a censored draw that kept its exception, traceback and
+    # all, would keep its buffer while it waits to be read.
+    monkeypatch.setattr(sampler, "_cpus", lambda: 3)
+    list(sampler._in_order(abs, 3))  # imports concurrent.futures before tracing
+    _first_draw_waits_for(monkeypatch, 25)
+
+    def give_up():
+        with pytest.raises(CapExceeded):
+            uncensored_limit_draws(0.01, 1, 1e-3, 3, 41, t_cap=40.0)
+
+    chunk = limit_sim._CHUNK * 8
+    assert traced_peak(give_up) < 2 * 3 * chunk
 
 
 def test_sample_limit_vector_mean_tau():

@@ -225,6 +225,23 @@ def test_replicates_are_the_same_on_any_number_of_cpus(monkeypatch):
     assert records[1] == [_fields(walk_statistics(s, substream(7, i))) for i in range(11)]
 
 
+@pytest.mark.parametrize("n,threaded", [(sampler._FIRST_WINDOW, False), (5000, True)])
+def test_replicates_thread_only_past_one_window(monkeypatch, n, threaded):
+    # Up to one first window of steps the kernel is bound by the interpreter,
+    # so the replicates are drawn in the caller's thread; past it, on workers.
+    s = make_degree_sequence(geometric_profile(), n, 6, seed=3)
+    monkeypatch.setattr(sampler, "_cpus", lambda: 3)
+    real, where = sampler.walk_statistics, []
+
+    def kernel(s, rng):
+        where.append(threading.get_ident() != threading.main_thread().ident)
+        return real(s, rng)
+
+    monkeypatch.setattr(sampler, "walk_statistics", kernel)
+    assert len(list(replicates(s, 7, 9))) == 9
+    assert where == [threaded] * 9
+
+
 class _Raised(Exception):
     pass
 
