@@ -18,14 +18,10 @@ import math
 import numpy as np
 
 from .errors import CapExceeded, DomainError
-from .sampler import _in_order, substream
+from .sampler import _LOOK_AHEAD, _in_order, substream
 
 _CHUNK = 1 << 15
 T_CAP = 1000.0  # default censoring time of every limit-side draw
-# Limit draws in flight per worker thread.  The draw times are heavy-tailed
-# (censored draws run to t_cap), so one call per worker leaves the others
-# idle behind a long one; a kept draw's result is only a few floats.
-_LOOK_AHEAD = 32
 _erfc = np.vectorize(math.erfc, otypes=[float])
 
 

@@ -2,13 +2,14 @@
 
 A uniformly shuffled degree vector codes a uniform marked cyclic forest;
 pulling back through the n-to-c marking map (uniform rotation, drop the
-mark) gives an exactly uniform plane forest.  Each sample is one O(n)
-shuffle; the replicate kernel then sums the coding walk only up to the last
-small tree, O(tau_n), and sampling a forest adds O(n) for the marked tree.
-Everything is deterministic given (degree sequence, seed): replicate i
-draws only from ``substream(seed, i)``, so the replicate loops draw their
-replicates side by side, one worker thread per CPU, and yield them in
-index order with the same bits on any number of CPUs.
+mark) gives an exactly uniform plane forest.  Sampling a forest is one O(n)
+shuffle.  The replicate kernel draws only the walk's prefix up to the last
+small tree, O(tau_n): the first k entries of a uniform arrangement of a
+multiset have multivariate-hypergeometric class counts and, given them, a
+uniform order.  Everything is deterministic given (degree sequence, seed):
+replicate i draws only from ``substream(seed, i)``, so the replicate loops
+draw their replicates side by side, one worker thread per CPU, and yield
+them in index order with the same bits on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def _marked_arrays(s: DegreeSequence, rng: np.random.Generator, uniform_start: b
     returns once, as a whole forest.
     """
     perm = shuffle_degrees(s, rng)
-    _, bounds = _tree_boundaries(perm, s.c)
+    _, bounds = _tree_boundaries(lambda lo, hi: perm[lo:hi], s.n, s.c)
     sizes = np.diff(bounds, prepend=0)
     marked = s.n - int(sizes[-1])  # the marked tree's first node
     buf = np.empty(s.n, dtype=np.int64)
@@ -85,24 +86,36 @@ def sample_forest(s: DegreeSequence, rng: np.random.Generator) -> PlaneForest:
     return PlaneForest._from_lex(lex, sizes)
 
 
-_COUNT_BLOCK = 1 << 14  # entries per bincount in tree_degree_counts
+_COUNT_BLOCK = 1 << 14  # entries per bincount in _degree_counts
+
+
+def _degree_counts(degrees: np.ndarray, length: int) -> np.ndarray:
+    """``np.bincount(degrees, minlength=length)``, a block at a time:
+    bincount copies its input to intp, so a narrow array is counted with no
+    copy of its own size."""
+    counts = np.zeros(length, dtype=np.int64)
+    for i in range(0, len(degrees), _COUNT_BLOCK):
+        counts += np.bincount(degrees[i : i + _COUNT_BLOCK], minlength=length)
+    return counts
 
 
 @dataclass
 class WalkStatistics:
-    """One sampled replicate's summary, without trees.
+    """One sampled replicate's summary, without trees; no field is O(n).
 
-    ``perm`` is the shuffled degree vector (O(n)), in the narrowest unsigned
-    dtype that holds its largest degree: one byte per node for degrees up to
-    255.  ``steps`` is the length of the coding walk that the kernel summed:
-    up to the end of the doubling window in which the walk first reaches
-    -(c-1), at most min(n, 2 tau_n + 4096) steps and 0 when c = 1.
-    ``boundaries`` are the ends of the c tree segments, each passage
-    time found in the window that reaches it.  ``sizes`` lists tree sizes
-    in marked-cyclic-forest order (the marked tree is last); ``tau_n`` is
-    the total size of the non-marked trees;
+    ``perm`` is the drawn prefix of the shuffled degree vector: its first
+    ``steps`` entries, in the narrowest unsigned dtype that holds the
+    largest degree (one byte per node for degrees up to 255).  ``steps`` is
+    the length of the coding walk that the kernel drew and summed: up to
+    the end of the doubling window in which the walk first reaches -(c-1),
+    at most min(n, 2 tau_n + 4096) steps and 0 when c = 1.
+    ``boundaries`` are the ends of the c tree segments, each passage time
+    found in the block of the walk that reaches it.  ``sizes`` lists tree
+    sizes in marked-cyclic-forest order (the marked tree is last);
+    ``tau_n`` is the total size of the non-marked trees;
     ``largest_is_marked`` is the event that the marked tree is the strictly
     largest (ties count against, matching the earlier-tree tie rule).
+    ``counts`` is the degree sequence's counts (its own dict, not a copy).
     """
 
     perm: np.ndarray
@@ -113,6 +126,7 @@ class WalkStatistics:
     ranked_order: np.ndarray
     tau_n: int
     largest_is_marked: bool
+    counts: dict
 
     @property
     def walk(self) -> np.ndarray:
@@ -122,82 +136,128 @@ class WalkStatistics:
         return np.cumsum(walk, out=walk)
 
     def tree_degree_counts(self, rank: int) -> np.ndarray:
-        """Degree histogram of the rank-th largest tree (1-based rank)."""
+        """Degree histogram of the rank-th largest tree (1-based rank).
+
+        A small tree is counted from the prefix.  The marked tree, whose end
+        the prefix need not reach, is the degree sequence's counts minus the
+        small trees'; its histogram runs up to the largest degree."""
         t = int(self.ranked_order[rank - 1])
+        if t == len(self.sizes) - 1:
+            counts = np.zeros(max(self.counts) + 1, dtype=np.int64)
+            counts[list(self.counts)] = list(self.counts.values())
+            return counts - _degree_counts(self.perm[: self.tau_n], len(counts))
         lo = 0 if t == 0 else int(self.boundaries[t - 1])
         tree = self.perm[lo : int(self.boundaries[t])]
-        # bincount copies its input to intp, so a narrow perm is counted a
-        # block at a time, with no tree-sized copy.
-        counts = np.zeros(int(tree.max()) + 1, dtype=np.int64)
-        for i in range(0, len(tree), _COUNT_BLOCK):
-            counts += np.bincount(tree[i : i + _COUNT_BLOCK], minlength=len(counts))
-        return counts
+        return _degree_counts(tree, int(tree.max()) + 1)
 
 
-_FIRST_WINDOW = 4096  # steps summed before the first passage check
+_FIRST_WINDOW = 4096  # steps read before the first passage check
+_SUM_BLOCK = 1 << 16  # steps summed in one int64 array
 
 
-def _tree_boundaries(perm: np.ndarray, c: int) -> tuple[int, np.ndarray]:
-    """(hi, ends of the c tree segments) of a shuffled degree vector.
+def _tree_boundaries(window: Callable[[int, int], np.ndarray], n: int, c: int) -> tuple[int, np.ndarray]:
+    """(hi, ends of the c tree segments) of a degree vector of length n,
+    read one window at a time.
 
-    The walk is summed in windows of doubling length until a window reaches
-    -(c-1) at step hi.  Each window is a new int64 array (a narrow ``perm``
-    would wrap at 0 - 1), started from the walk's value at the end of the
-    one before.  The first c-1 boundaries (1-based step counts) are the
-    first passage times of -1, ..., -(c-1), found in each window from its
-    running minimum, taken in the window's own storage, so the search holds
-    one window-sized array at a time.  The marked tree's lattice bridge may
-    dip below -c early, so its segment always ends at n.
+    The vector is read in windows of doubling length until the walk reaches
+    -(c-1) in the window that ends at hi; ``window(lo, hi)`` gives its
+    entries lo..hi-1.  A window's walk is summed a block of at most 65,536
+    steps at a time, each block a new int64 array (a narrow vector would
+    wrap at 0 - 1) started from the walk's value at the end of the block
+    before.  The first c-1 boundaries (1-based step counts) are the first
+    passage times of -1, ..., -(c-1), found in each block from its running
+    minimum, taken in the block's own storage, so the search holds one
+    block at a time.  The marked tree's lattice bridge may dip below -c
+    early, so its segment always ends at n.
     """
-    n = len(perm)
     bounds = np.full(c, n, dtype=np.int64)
-    # The walk before step hi reaches -found and no lower level; last is its value at step hi.
+    # The walk before step `at` reaches -found and no lower level; last is its value at step `at`.
     hi, found, last = 0, 0, 0
     while found < c - 1:
         lo, hi = hi, min(n, 2 * hi + _FIRST_WINDOW)
-        window = np.subtract(perm[lo:hi], 1, dtype=np.int64)
-        np.cumsum(window, out=window)
-        if lo:
-            window += last
-        last = int(window[-1])
-        depth = np.negative(np.minimum.accumulate(window, out=window), out=window)
-        reached = max(found, min(int(depth[-1]), c - 1))  # a window may stay above -found
-        bounds[found:reached] = np.searchsorted(depth, np.arange(found + 1, reached + 1)) + lo + 1
-        found = reached
-        del window, depth  # freed before the next, larger window is allocated
+        degrees = window(lo, hi)
+        for at in range(lo, hi, _SUM_BLOCK):
+            if found == c - 1:
+                break
+            walk = np.subtract(degrees[at - lo : at - lo + _SUM_BLOCK], 1, dtype=np.int64)
+            np.cumsum(walk, out=walk)
+            if at:
+                walk += last
+            last = int(walk[-1])
+            depth = np.negative(np.minimum.accumulate(walk, out=walk), out=walk)
+            reached = max(found, min(int(depth[-1]), c - 1))  # a block may stay above -found
+            bounds[found:reached] = np.searchsorted(depth, np.arange(found + 1, reached + 1)) + at + 1
+            found = reached
+            del walk, depth  # freed before the next block is allocated
     return hi, bounds
 
 
-def _narrow_degree_vector(s: DegreeSequence) -> np.ndarray:
-    """d(s), as ``degree_vector``, in the narrowest unsigned dtype that holds
-    its largest degree."""
-    degrees = sorted(s.counts)
-    values = np.array(degrees, dtype=np.min_scalar_type(degrees[-1]))
-    return np.repeat(values, [s.counts[i] for i in degrees])
-
-
-def walk_statistics(s: DegreeSequence, rng: np.random.Generator) -> WalkStatistics:
-    """Sample one replicate and summarize it without materializing trees.
-
-    Its shuffle makes the same draws as ``shuffle_degrees``: they depend
-    only on the vector's length, not on its dtype."""
-    perm = _narrow_degree_vector(s)
-    rng.shuffle(perm)
-    steps, boundaries = _tree_boundaries(perm, s.c)
+def _record(s: DegreeSequence, perm: np.ndarray, steps: int, boundaries: np.ndarray) -> WalkStatistics:
+    """The WalkStatistics of a walk prefix and its tree boundaries."""
     sizes = np.diff(boundaries, prepend=0)
     order = np.argsort(-sizes, kind="stable")
-    ranked = sizes[order]
-    tau_n = int(boundaries[s.c - 2]) if s.c >= 2 else 0
     return WalkStatistics(
         perm=perm,
         steps=steps,
         boundaries=boundaries,
         sizes=sizes,
-        ranked_sizes=ranked,
+        ranked_sizes=sizes[order],
         ranked_order=order,
-        tau_n=tau_n,
+        tau_n=int(boundaries[s.c - 2]) if s.c >= 2 else 0,
         largest_is_marked=bool(order[0] == s.c - 1),
+        counts=s.counts,
     )
+
+
+def _degree_classes(s: DegreeSequence) -> tuple[np.ndarray, np.ndarray]:
+    """(the degrees of s in increasing order, in the narrowest unsigned dtype
+    that holds the largest; their int64 counts)."""
+    degrees = sorted(s.counts)
+    values = np.array(degrees, dtype=np.min_scalar_type(degrees[-1]))
+    return values, np.array([s.counts[i] for i in degrees], dtype=np.int64)
+
+
+_HYPERGEOMETRIC_MAX = 10**9  # rng.multivariate_hypergeometric needs fewer items
+
+
+def walk_statistics(s: DegreeSequence, rng: np.random.Generator) -> WalkStatistics:
+    """Sample one replicate's walk prefix and summarize it without
+    materializing trees.
+
+    The shuffled degree vector is drawn one ``_tree_boundaries`` window at
+    a time: the window's degree counts are multivariate hypergeometric
+    from the counts not yet drawn, and one shuffle orders them.  The window
+    that reaches n is the whole remainder, shuffled with no hypergeometric
+    draw, so at n <= 4,096 the draws are those of ``shuffle_degrees``.
+    From n = 10**9, past the hypergeometric sampler's range, the whole
+    vector is shuffled instead.
+    """
+    if s.n >= _HYPERGEOMETRIC_MAX:
+        return _whole_vector_statistics(s, rng)
+    values, remaining = _degree_classes(s)
+    prefix = [values[:0]]
+
+    def draw(lo, hi):
+        counts = remaining if hi == s.n else rng.multivariate_hypergeometric(remaining, hi - lo)
+        window = np.repeat(values, counts)
+        np.subtract(remaining, counts, out=remaining)
+        rng.shuffle(window)
+        prefix.append(window)
+        return window
+
+    steps, boundaries = _tree_boundaries(draw, s.n, s.c)
+    return _record(s, np.concatenate(prefix), steps, boundaries)
+
+
+def _whole_vector_statistics(s: DegreeSequence, rng: np.random.Generator) -> WalkStatistics:
+    """A replicate's WalkStatistics from the whole shuffled degree vector:
+    at every n, the draws of ``shuffle_degrees`` (a shuffle's draws depend
+    only on the vector's length, not on its dtype).  The vector is narrow,
+    and ``perm`` is a copy of its first ``steps`` entries."""
+    perm = np.repeat(*_degree_classes(s))
+    rng.shuffle(perm)
+    steps, boundaries = _tree_boundaries(lambda lo, hi: perm[lo:hi], s.n, s.c)
+    return _record(s, perm[:steps].copy(), steps, boundaries)
 
 
 def _cpus() -> int:
@@ -239,23 +299,33 @@ def _in_order(fn: Callable[[int], object], count: int, window: int = 1) -> Itera
         pool.shutdown(cancel_futures=True)
 
 
+# Draws in flight per worker thread.  Draw times are heavy-tailed (tau_n
+# for a replicate, censoring for a limit draw), so with one draw per worker
+# the other workers would wait idle behind a long one; a replicate's record
+# is O(tau_n) and a limit draw's result a few floats.
+_LOOK_AHEAD = 32
+
+
+def _map_replicates(draw: Callable[[int], object], reps: int, n: int) -> Iterator:
+    """draw(0), ..., draw(reps - 1), yielded in index order: the one
+    threading rule of the replicate loops at degree-vector length n.  Up to
+    one first window of steps (n <= 4,096) the draws run in the caller's
+    thread, where they are bound by the interpreter and worker threads
+    would only contend for its lock; past it, through ``_in_order`` with up
+    to ``_LOOK_AHEAD`` draws per worker in flight."""
+    if n <= _FIRST_WINDOW:
+        return map(draw, range(reps))
+    return _in_order(draw, reps, _LOOK_AHEAD)
+
+
 def replicates(s: DegreeSequence, seed: int, reps: int) -> Iterator[WalkStatistics]:
     """Replicates 0, ..., reps - 1 of run ``seed``: replicate i is the kernel on
     ``substream(seed, i)``, yielded in index order.  Above one first window
-    of steps (n > 4,096) they are drawn on one worker thread per CPU (at
-    most one in flight per worker), so the records are the same on any
-    number of CPUs.  While the caller reads record i, up to one record per
-    worker is being drawn; a loop variable that keeps record i alive adds
-    one more, ``map`` over the records does not."""
-    def draw(i):
-        return walk_statistics(s, substream(seed, i))
-
-    if s.n <= _FIRST_WINDOW:
-        # The walk is one window and the kernel is bound by the interpreter,
-        # so worker threads would only contend for its lock.
-        yield from map(draw, range(reps))
-    else:
-        yield from _in_order(draw, reps)
+    of steps (n > 4,096) they are drawn on one worker thread per CPU, up to
+    32 per worker ahead of the one being read, so the records are the same
+    on any number of CPUs.  A loop holds up to that many records per worker
+    besides the one it reads, each O(tau_n)."""
+    yield from _map_replicates(lambda i: walk_statistics(s, substream(seed, i)), reps, s.n)
 
 
 def forest_summary_csv_header(top_j: int) -> str:

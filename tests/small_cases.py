@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 
 from planeforest import (
-    LatticeBridge, PlaneForest, PlaneTree, degree_vector, mcf_from_walk, shuffle_degrees,
+    LatticeBridge, PlaneForest, PlaneTree, mcf_from_walk, shuffle_degrees,
     validate, walk_from_degrees,
 )
 from planeforest.errors import MalformedBridge, NotAWalk
@@ -177,15 +177,16 @@ def extended_path_shift(b, k):
     return tuple(ext[k + i] - ext[k] for i in range(b.n + 1))
 
 
-def full_walk_statistics(s, rng):
-    """walk_statistics from the whole walk, its running minimum and one passage search."""
-    perm = rng.permutation(degree_vector(s))
-    walk = np.cumsum(perm - 1)
+def full_walk_statistics(perm, c):
+    """walk_statistics of a whole degree vector of c trees: (walk, boundaries,
+    sizes, ranked order) from the whole walk, its running minimum and one
+    passage search."""
+    walk = np.cumsum(np.asarray(perm, dtype=np.int64) - 1)
     depth = -np.minimum.accumulate(walk)
-    boundaries = np.append(np.searchsorted(depth, np.arange(1, s.c), side="left") + 1, s.n)
+    boundaries = np.append(np.searchsorted(depth, np.arange(1, c), side="left") + 1, len(perm))
     sizes = np.diff(boundaries, prepend=0)
     order = np.argsort(-sizes, kind="stable")
-    return perm, walk, boundaries, sizes, order
+    return walk, boundaries, sizes, order
 
 
 def tuple_codec_sample(s, rng):

@@ -15,6 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 from planeforest import (
     count_forests,
     count_mcf,
+    degree_vector,
+    ks_two_sample,
     make_degree_sequence,
     replicates,
     rng_from_seed,
@@ -24,9 +26,11 @@ from planeforest import (
     shuffle_degrees,
     substream,
     validate,
+    verify,
     walk_statistics,
 )
 from planeforest.degseq import geometric_profile
+from planeforest.forest_codec import enumerate_walks
 from planeforest.sampler import forest_summary_csv_header, forest_summary_csv_row
 from small_cases import full_walk_statistics, traced_peak, tuple_codec_sample
 
@@ -145,11 +149,26 @@ def test_walk_statistics_matches_full_decode():
         assert ws.largest_is_marked == strictly_last
 
 
+def _completed(s, prefix):
+    """A drawn prefix of d(s) followed by the degrees it did not draw, in
+    increasing order."""
+    total = np.bincount(degree_vector(s))
+    drawn = np.bincount(prefix, minlength=len(total))
+    assert len(drawn) == len(total) and (drawn <= total).all()
+    return np.concatenate((prefix.astype(np.int64), np.repeat(np.arange(len(total)), total - drawn)))
+
+
 def _assert_matches_full_walk(s, seed):
+    # The record is that of its drawn prefix, completed by the degrees it did
+    # not draw in any order: the prefix holds the walk up to its last small tree.
     ws = walk_statistics(s, substream(seed, 0))
-    perm, walk, boundaries, sizes, order = full_walk_statistics(s, substream(seed, 0))
-    assert np.array_equal(ws.perm, perm)
-    assert np.array_equal(ws.walk, walk[: len(ws.walk)])
+    assert len(ws.perm) == ws.steps <= min(s.n, 2 * ws.tau_n + sampler._FIRST_WINDOW)
+    full = _completed(s, ws.perm)
+    if ws.steps == s.n <= sampler._FIRST_WINDOW:
+        # One window, the whole vector: the draws of shuffle_degrees.
+        assert np.array_equal(full, shuffle_degrees(s, substream(seed, 0)))
+    walk, boundaries, sizes, order = full_walk_statistics(full, s.c)
+    assert np.array_equal(ws.walk, walk[: ws.steps])
     assert np.array_equal(ws.boundaries, boundaries)
     assert np.array_equal(ws.sizes, sizes)
     assert np.array_equal(ws.ranked_order, order)
@@ -158,9 +177,8 @@ def _assert_matches_full_walk(s, seed):
     for rank in range(1, s.c + 1):
         t = order[rank - 1]
         lo = boundaries[t - 1] if t else 0
-        expected = np.bincount(perm[lo : boundaries[t]])
-        assert np.array_equal(ws.tree_degree_counts(rank), expected)
-    assert len(ws.walk) <= min(s.n, 2 * ws.tau_n + sampler._FIRST_WINDOW)
+        expected = np.bincount(full[lo : boundaries[t]])
+        assert np.array_equal(np.trim_zeros(ws.tree_degree_counts(rank), "b"), expected)
 
 
 @settings(max_examples=40, deadline=None)
@@ -198,15 +216,27 @@ def test_walk_statistics_in_the_narrowest_dtype_matches_full_walk(degree, dtype,
 
 
 def test_walk_statistics_peak_memory_at_1e6():
-    # This replicate's walk first reaches -124 at tau_n = 787,212, so the walk
-    # prefix is all n steps.  The record holds the degree vector at one byte
-    # per node (1e6 bytes), and the passage search holds one int64 window at a
-    # time, never a prefix-sized one: the last is 1e6 - 520,192 steps (3.84e6
-    # bytes).
+    # This replicate's walk first reaches -124 at tau_n = 679,901, so the
+    # kernel draws all n entries.  It holds the drawn windows at one byte per
+    # node (1e6 bytes) and then their concatenation, the record's prefix
+    # (1e6 more); the passage search holds one int64 block of 65,536 steps
+    # (0.52e6 bytes) at a time, freed before the concatenation.  One more
+    # block, or one window-sized int64 array, would pass the bound.
     s = make_degree_sequence(geometric_profile(), 1_000_000, 125, seed=1)
-    ws = walk_statistics(s, substream(1, 2))  # warm-up: first-call allocations
-    assert (ws.tau_n, len(ws.walk)) == (787_212, s.n)
-    assert traced_peak(lambda: walk_statistics(s, substream(1, 2))) < 5.1e6
+    ws = walk_statistics(s, substream(1, 11))  # warm-up: first-call allocations
+    assert (ws.tau_n, ws.steps, len(ws.perm)) == (679_901, s.n, s.n)
+    assert traced_peak(lambda: walk_statistics(s, substream(1, 11))) < 2.2e6
+
+
+def test_walk_statistics_shuffles_the_whole_vector_past_the_hypergeometric_range(monkeypatch):
+    # rng.multivariate_hypergeometric takes fewer than 10**9 items; from there
+    # the kernel shuffles the whole vector, and its record keeps the prefix.
+    s = make_degree_sequence(geometric_profile(), 20_000, 12, seed=3)
+    monkeypatch.setattr(sampler, "_HYPERGEOMETRIC_MAX", s.n)
+    ws = walk_statistics(s, substream(5, 0))
+    assert ws.steps < s.n
+    assert np.array_equal(ws.perm, shuffle_degrees(s, substream(5, 0))[: ws.steps])
+    _assert_matches_full_walk(s, 5)
 
 
 def _fields(ws):
@@ -227,19 +257,50 @@ def test_replicates_are_the_same_on_any_number_of_cpus(monkeypatch):
 
 @pytest.mark.parametrize("n,threaded", [(sampler._FIRST_WINDOW, False), (5000, True)])
 def test_replicates_thread_only_past_one_window(monkeypatch, n, threaded):
-    # Up to one first window of steps the kernel is bound by the interpreter,
-    # so the replicates are drawn in the caller's thread; past it, on workers.
+    # Up to one first window of steps a replicate is bound by the interpreter,
+    # so every replicate loop draws in the caller's thread; past it, on workers.
     s = make_degree_sequence(geometric_profile(), n, 6, seed=3)
     monkeypatch.setattr(sampler, "_cpus", lambda: 3)
-    real, where = sampler.walk_statistics, []
+    real, where = sampler.substream, []
+
+    def stream(seed, i):
+        where.append(threading.get_ident() != threading.main_thread().ident)
+        return real(seed, i)
+
+    monkeypatch.setattr(sampler, "substream", stream)
+    monkeypatch.setattr(verify, "substream", stream)
+    assert len(list(replicates(s, 7, 9))) == 9
+    for experiment in (verify.experiment_walk, verify.experiment_degrees,
+                       verify.experiment_concentration):
+        experiment(geometric_profile(), n, 6, 9, 7)
+    assert where == [threaded] * 36
+
+
+def test_replicates_look_ahead_of_a_slow_replicate(monkeypatch):
+    # A record is O(tau_n) and tau_n is heavy-tailed, so the workers draw up
+    # to 32 records each ahead of the one being read: replicate 0 waits until
+    # replicate 12 has been drawn, which one record per worker would never do.
+    s = make_degree_sequence(geometric_profile(), 5000, 6, seed=3)
+    monkeypatch.setattr(sampler, "_cpus", lambda: 2)
+    real, later, index = sampler.walk_statistics, threading.Event(), {}
+
+    def stream(seed, i):
+        rng = substream(seed, i)
+        index[id(rng)] = i
+        return rng
 
     def kernel(s, rng):
-        where.append(threading.get_ident() != threading.main_thread().ident)
+        i = index[id(rng)]
+        if i == 12:
+            later.set()
+        if i == 0 and not later.wait(5):
+            raise TimeoutError("replicate 12 was not drawn while replicate 0 waited")
         return real(s, rng)
 
     monkeypatch.setattr(sampler, "walk_statistics", kernel)
-    assert len(list(replicates(s, 7, 9))) == 9
-    assert where == [threaded] * 9
+    monkeypatch.setattr(sampler, "substream", stream)
+    assert [ws.tau_n for ws in replicates(s, 7, 20)] == [
+        walk_statistics(s, substream(7, i)).tau_n for i in range(20)]
 
 
 class _Raised(Exception):
@@ -318,7 +379,7 @@ def _hitting_time_law(s, m):
     return law
 
 
-def test_tau_n_matches_hitting_time_law():
+def _assert_tau_n_matches_hitting_time_law():
     s = make_degree_sequence(geometric_profile(), 120, 6)
     law = _hitting_time_law(s, s.c - 1)
     assert sum(law) == 1
@@ -329,6 +390,76 @@ def test_tau_n_matches_hitting_time_law():
     # 1.36/sqrt(reps) is the 95% Kolmogorov band; it is conservative for
     # a discrete law.
     assert np.abs(empirical_cdf - exact_cdf).max() <= 1.36 / math.sqrt(reps)
+
+
+def test_tau_n_matches_hitting_time_law():
+    # At n = 120 the first window is the whole vector: one shuffle.
+    _assert_tau_n_matches_hitting_time_law()
+
+
+@pytest.mark.parametrize("first_window", [1, 3])
+def test_tau_n_matches_hitting_time_law_over_several_windows(monkeypatch, first_window):
+    # Windows of 1, 2, 4, ... or 3, 6, 12, ... entries: each replicate draws
+    # several windows' counts from the multivariate hypergeometric law.  On
+    # one CPU, since at n = 120 threads only add their overhead.
+    monkeypatch.setattr(sampler, "_FIRST_WINDOW", first_window)
+    monkeypatch.setattr(sampler, "_cpus", lambda: 1)
+    _assert_tau_n_matches_hitting_time_law()
+
+
+def test_tau_n_matches_exact_law_at_large_n():
+    # Leaves and binary nodes only: with j binary nodes among the first k
+    # entries the walk is at 2j - k, so by the hitting-time theorem
+    # P(tau = k) = ((c-1)/k) P(j = (k - c + 1)/2), j hypergeometric.
+    binary = 99_990
+    s = validate({0: 100_011, 2: binary})
+    assert (s.n, s.c) == (200_001, 21)
+    k = np.arange(1, s.n + 1)
+    j = (k - s.c + 1) / 2
+    law = np.where(j == np.floor(j), (s.c - 1) / k * scipy.stats.hypergeom.pmf(j, s.n, binary, k), 0.0)
+    exact_cdf = np.cumsum(np.concatenate(([0.0], law)))
+    assert abs(exact_cdf[-1] - 1) < 1e-9
+    reps = 20_000
+    taus = [ws.tau_n for ws in replicates(s, 4242, reps)]
+    empirical_cdf = np.cumsum(np.bincount(taus, minlength=s.n + 1)) / reps
+    assert np.abs(empirical_cdf - exact_cdf).max() <= 1.36 / math.sqrt(reps)
+
+
+@pytest.mark.parametrize("counts", [{0: 4, 2: 2}, {0: 5, 1: 1, 3: 1}, {0: 5, 1: 1, 2: 1, 3: 1}])
+def test_walk_prefix_law_matches_enumeration(monkeypatch, counts):
+    # Windows of 1, 2, 4, ... entries, so that even at n <= 8 a replicate
+    # draws several windows.  Every distinct arrangement of d(s) is equally
+    # likely, which gives the exact law of (sizes, the prefix up to tau_n).
+    s = validate(counts)
+    monkeypatch.setattr(sampler, "_FIRST_WINDOW", 1)
+    monkeypatch.setattr(sampler, "_cpus", lambda: 1)
+    exact = collections.Counter()
+    for w in enumerate_walks(s):
+        degrees = np.diff(w.values) + 1
+        _, boundaries, sizes, _ = full_walk_statistics(degrees, s.c)
+        exact[tuple(sizes), tuple(degrees[: boundaries[-2]])] += 1
+    reps = 20_000
+    seen = collections.Counter((tuple(ws.sizes.tolist()), tuple(ws.perm[: ws.tau_n].tolist()))
+                               for ws in replicates(s, 31, reps))
+    assert set(seen) <= set(exact)
+    keys, total = sorted(exact), sum(exact.values())
+    p = scipy.stats.chisquare([seen[k] for k in keys],
+                              [reps * exact[k] / total for k in keys]).pvalue
+    assert p > 0.001
+
+
+def test_prefix_draw_matches_the_whole_vector_draw_at_large_n():
+    # The whole-vector draw (every replicate's before the kernel drew only the
+    # walk prefix, and experiment_degrees' still) has the same law.  Seeds
+    # apart from the acceptance suite's; n and c_n of criterion 8's smaller size.
+    s = make_degree_sequence(geometric_profile(), 50_000, 14, seed=5)
+    reps = 4000
+    whole = lambda i: sampler._whole_vector_statistics(s, substream(4712, i))
+    samples = [np.array([(ws.tau_n, ws.ranked_sizes[1]) for ws in records]).T for records in (
+        replicates(s, 4711, reps), sampler._map_replicates(whole, reps, s.n))]
+    # 1.63 sqrt(2/reps) is the 1% two-sample Kolmogorov bound.
+    for prefix, full in zip(*samples):
+        assert ks_two_sample(prefix, full) <= 1.63 * math.sqrt(2 / reps)
 
 
 def test_single_tree_degenerate_case():
