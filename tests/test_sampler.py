@@ -449,9 +449,9 @@ def test_walk_prefix_law_matches_enumeration(monkeypatch, counts):
 
 
 def test_prefix_draw_matches_the_whole_vector_draw_at_large_n():
-    # The whole-vector draw (every replicate's before the kernel drew only the
-    # walk prefix, and experiment_degrees' still) has the same law.  Seeds
-    # apart from the acceptance suite's; n and c_n of criterion 8's smaller size.
+    # The prefix draw and the whole-vector draw (experiment_degrees') have the
+    # same law.  Seeds apart from the acceptance suite's; n and c_n of
+    # criterion 8's smaller size.
     s = make_degree_sequence(geometric_profile(), 50_000, 14, seed=5)
     reps = 4000
     whole = lambda i: sampler._whole_vector_statistics(s, substream(4712, i))
