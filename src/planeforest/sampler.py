@@ -4,12 +4,13 @@ A uniformly shuffled degree vector codes a uniform marked cyclic forest;
 pulling back through the n-to-c marking map (uniform rotation, drop the
 mark) gives an exactly uniform plane forest.  Sampling a forest is one O(n)
 shuffle.  The replicate kernel draws only the walk's prefix up to the last
-small tree, O(tau_n): the first k entries of a uniform arrangement of a
-multiset have multivariate-hypergeometric class counts and, given them, a
-uniform order.  Everything is deterministic given (degree sequence, seed):
-replicate i draws only from ``substream(seed, i)``, so the replicate loops
-draw their replicates side by side, one worker thread per CPU, and yield
-them in index order with the same bits on any number of CPUs.
+small tree, O(tau_n), in fixed blocks: the first k entries of a uniform
+arrangement of a multiset have multivariate-hypergeometric class counts
+and, given them, a uniform order.  Everything is deterministic given
+(degree sequence, seed): replicate i draws only from ``substream(seed,
+i)``, so the replicate loops draw their replicates side by side, one
+worker thread per CPU, and yield them in index order with the same bits on
+any number of CPUs.
 """
 
 from __future__ import annotations
@@ -107,8 +108,8 @@ class WalkStatistics:
     ``steps`` entries, in the narrowest unsigned dtype that holds the
     largest degree (one byte per node for degrees up to 255).  ``steps`` is
     the length of the coding walk that the kernel drew and summed: up to
-    the end of the doubling window in which the walk first reaches -(c-1),
-    at most min(n, 2 tau_n + 4096) steps and 0 when c = 1.
+    the end of the 32,768-step block in which the walk first reaches
+    -(c-1), min(n, 32,768 ceil(tau_n / 32,768)) steps (0 when c = 1).
     ``boundaries`` are the ends of the c tree segments, each passage time
     found in the block of the walk that reaches it.  ``sizes`` lists tree
     sizes in marked-cyclic-forest order (the marked tree is last);
@@ -151,44 +152,37 @@ class WalkStatistics:
         return _degree_counts(tree, int(tree.max()) + 1)
 
 
-_FIRST_WINDOW = 4096  # steps read before the first passage check
-_SUM_BLOCK = 1 << 16  # steps summed in one int64 array
+_BLOCK = 1 << 15  # steps drawn and summed at a time: 256 KiB of int64
 
 
-def _tree_boundaries(window: Callable[[int, int], np.ndarray], n: int, c: int) -> tuple[int, np.ndarray]:
+def _tree_boundaries(block: Callable[[int, int], np.ndarray], n: int, c: int) -> tuple[int, np.ndarray]:
     """(hi, ends of the c tree segments) of a degree vector of length n,
-    read one window at a time.
+    read one block at a time.
 
-    The vector is read in windows of doubling length until the walk reaches
-    -(c-1) in the window that ends at hi; ``window(lo, hi)`` gives its
-    entries lo..hi-1.  A window's walk is summed a block of at most 65,536
-    steps at a time, each block a new int64 array (a narrow vector would
-    wrap at 0 - 1) started from the walk's value at the end of the block
-    before.  The first c-1 boundaries (1-based step counts) are the first
-    passage times of -1, ..., -(c-1), found in each block from its running
-    minimum, taken in the block's own storage, so the search holds one
-    block at a time.  The marked tree's lattice bridge may dip below -c
-    early, so its segment always ends at n.
+    The vector is read in blocks of ``_BLOCK`` entries until the walk
+    reaches -(c-1) in the block that ends at hi; ``block(lo, hi)`` gives
+    its entries lo..hi-1.  Each block's walk is summed in a new int64 array
+    (a narrow vector would wrap at 0 - 1), started from the walk's value at
+    the end of the block before.  The first c-1 boundaries (1-based step
+    counts) are the first passage times of -1, ..., -(c-1), found in each
+    block from its running minimum, taken in the block's own storage, so
+    the search holds one block at a time.  The marked tree's lattice bridge
+    may dip below -c early, so its segment always ends at n.
     """
     bounds = np.full(c, n, dtype=np.int64)
-    # The walk before step `at` reaches -found and no lower level; last is its value at step `at`.
+    # The walk before step hi reaches -found and no lower level; last is its value at step hi.
     hi, found, last = 0, 0, 0
     while found < c - 1:
-        lo, hi = hi, min(n, 2 * hi + _FIRST_WINDOW)
-        degrees = window(lo, hi)
-        for at in range(lo, hi, _SUM_BLOCK):
-            if found == c - 1:
-                break
-            walk = np.subtract(degrees[at - lo : at - lo + _SUM_BLOCK], 1, dtype=np.int64)
-            np.cumsum(walk, out=walk)
-            if at:
-                walk += last
-            last = int(walk[-1])
-            depth = np.negative(np.minimum.accumulate(walk, out=walk), out=walk)
-            reached = max(found, min(int(depth[-1]), c - 1))  # a block may stay above -found
-            bounds[found:reached] = np.searchsorted(depth, np.arange(found + 1, reached + 1)) + at + 1
-            found = reached
-            del walk, depth  # freed before the next block is allocated
+        lo, hi = hi, min(n, hi + _BLOCK)
+        walk = np.subtract(block(lo, hi), 1, dtype=np.int64)
+        np.cumsum(walk, out=walk)
+        walk += last
+        last = int(walk[-1])
+        depth = np.negative(np.minimum.accumulate(walk, out=walk), out=walk)
+        reached = max(found, min(int(depth[-1]), c - 1))  # a block may stay above -found
+        bounds[found:reached] = np.searchsorted(depth, np.arange(found + 1, reached + 1)) + lo + 1
+        found = reached
+        del walk, depth  # freed before the next block is drawn
     return hi, bounds
 
 
@@ -224,26 +218,28 @@ def walk_statistics(s: DegreeSequence, rng: np.random.Generator) -> WalkStatisti
     """Sample one replicate's walk prefix and summarize it without
     materializing trees.
 
-    The shuffled degree vector is drawn one ``_tree_boundaries`` window at
-    a time: the window's degree counts are multivariate hypergeometric
-    from the counts not yet drawn, and one shuffle orders them.  The window
-    that reaches n is the whole remainder, shuffled with no hypergeometric
-    draw, so at n <= 4,096 the draws are those of ``shuffle_degrees``.
-    From n = 10**9, past the hypergeometric sampler's range, the whole
-    vector is shuffled instead.
+    The shuffled degree vector is drawn one ``_tree_boundaries`` block at a
+    time: the block's degree counts are multivariate hypergeometric from
+    the counts not yet drawn, and one shuffle orders them, in int64, whose
+    shuffle is faster than a narrow one; the record keeps the blocks
+    narrowed.  The block that reaches n is the whole remainder, shuffled
+    with no hypergeometric draw, so at n <= 32,768 the draws are those of
+    ``shuffle_degrees``.  From n = 10**9, past the hypergeometric sampler's
+    range, the whole vector is shuffled instead.
     """
     if s.n >= _HYPERGEOMETRIC_MAX:
         return _whole_vector_statistics(s, rng)
-    values, remaining = _degree_classes(s)
-    prefix = [values[:0]]
+    narrow, remaining = _degree_classes(s)
+    values = narrow.astype(np.int64)
+    prefix = [narrow[:0]]
 
     def draw(lo, hi):
         counts = remaining if hi == s.n else rng.multivariate_hypergeometric(remaining, hi - lo)
-        window = np.repeat(values, counts)
+        block = np.repeat(values, counts)
         np.subtract(remaining, counts, out=remaining)
-        rng.shuffle(window)
-        prefix.append(window)
-        return window
+        rng.shuffle(block)
+        prefix.append(block.astype(narrow.dtype))
+        return prefix[-1]
 
     steps, boundaries = _tree_boundaries(draw, s.n, s.c)
     return _record(s, np.concatenate(prefix), steps, boundaries)
@@ -306,25 +302,29 @@ def _in_order(fn: Callable[[int], object], count: int, window: int = 1) -> Itera
 _LOOK_AHEAD = 32
 
 
+# Up to this n a replicate is bound by the interpreter and worker threads only
+# contend for its lock; from about n = 5,000 two workers beat one thread.
+_IN_THREAD_MAX_N = 4096
+
+
 def _map_replicates(draw: Callable[[int], object], reps: int, n: int) -> Iterator:
     """draw(0), ..., draw(reps - 1), yielded in index order: the one
     threading rule of the replicate loops at degree-vector length n.  Up to
-    one first window of steps (n <= 4,096) the draws run in the caller's
-    thread, where they are bound by the interpreter and worker threads
-    would only contend for its lock; past it, through ``_in_order`` with up
-    to ``_LOOK_AHEAD`` draws per worker in flight."""
-    if n <= _FIRST_WINDOW:
+    n = ``_IN_THREAD_MAX_N`` the draws run in the caller's thread; past it,
+    through ``_in_order`` with up to ``_LOOK_AHEAD`` draws per worker in
+    flight."""
+    if n <= _IN_THREAD_MAX_N:
         return map(draw, range(reps))
     return _in_order(draw, reps, _LOOK_AHEAD)
 
 
 def replicates(s: DegreeSequence, seed: int, reps: int) -> Iterator[WalkStatistics]:
     """Replicates 0, ..., reps - 1 of run ``seed``: replicate i is the kernel on
-    ``substream(seed, i)``, yielded in index order.  Above one first window
-    of steps (n > 4,096) they are drawn on one worker thread per CPU, up to
-    32 per worker ahead of the one being read, so the records are the same
-    on any number of CPUs.  A loop holds up to that many records per worker
-    besides the one it reads, each O(tau_n)."""
+    ``substream(seed, i)``, yielded in index order.  Above n = 4,096 they
+    are drawn on one worker thread per CPU, up to 32 per worker ahead of
+    the one being read, so the records are the same on any number of CPUs.
+    A loop holds up to that many records per worker besides the one it
+    reads, each O(tau_n)."""
     yield from _map_replicates(lambda i: walk_statistics(s, substream(seed, i)), reps, s.n)
 
 

@@ -97,11 +97,12 @@ def test_sample_is_deterministic(tmp_path, capsys):
 # holds make_degree_sequence(geometric_profile(), 10_000, 25, seed=1); computed
 # with the tuple-by-tuple sampler and json.dumps encoder the array path replaced.
 # Kind "csv" is `sample forest ... --count 5 --format csv --top 3`, whose
-# replicates draw only the walk prefix: taken when the kernel began to draw
-# so, and checked against the law of the whole-vector draw in test_sampler.
+# replicates draw only the walk prefix, in 32,768-step blocks: taken when the
+# kernel began to draw so, and checked against the law of the whole-vector
+# draw in test_sampler.
 PINNED_SAMPLE_SHA256 = {
-    ("csv", 0): "8025e4f7dd020af7ae6b1fea0d4cd5241bb65c6bace4f37c1b6182b7f215383b",
-    ("csv", 1): "73bed054c301173699ba52fa71c339ae69fc291ca386164cbbb9d322e1fefeb7",
+    ("csv", 0): "f703cc464f341ae0cb7c5905eb3f46d79ca09c8a9823300dd5aff1e051d5a326",
+    ("csv", 1): "b55eef7f68f1f1098be04731011e9c584776eb9de2be8d785659bc8c80e61cda",
     ("forest", 0): "903df56edd3949052ebd03cef1f640036929893c27ee8efce2dc9c56ab61222f",
     ("forest", 1): "405d6087ff9be2af1805aa146a19b70c16a3abb566dfa826b147b4c1d99a4f1c",
     ("forest", 2): "286103d53a09b92e940e56196b64ad25a7bba456a6c52e65117caa7edcbe4430",
@@ -147,8 +148,9 @@ _REPLICATE_LOOPS = pytest.mark.parametrize("command, n, c", [
 
 def _loop_and_kernel_peaks(tmp_path, monkeypatch, command, n, c, workers):
     """Traced peak of three replicates through the CLI on ``workers`` worker
-    threads, and those of their kernel calls alone.  The three walks stop
-    at 28,672 steps, so each record's prefix is under 3% of n."""
+    threads, those of their kernel calls alone, and each call's bound from
+    its drawn prefix: the byte-wide blocks, their concatenation and one
+    int64 block of the draw or the passage search."""
     monkeypatch.setattr(sampler, "_cpus", lambda: workers)
     s = make_degree_sequence(geometric_profile(), n, c, seed=1)
     ds, out = tmp_path / "s.json", tmp_path / "out"
@@ -158,7 +160,9 @@ def _loop_and_kernel_peaks(tmp_path, monkeypatch, command, n, c, workers):
     argv = [*command.split(), *args, "--seed", "1", "--out", str(out)]
     assert main(argv) in (EXIT_OK, EXIT_CRITERION)  # warm-up: first-call allocations
     peak = traced_peak(lambda: main(argv))
-    return peak, [traced_peak(lambda: walk_statistics(s, substream(1, i))) for i in range(3)]
+    kernels = [traced_peak(lambda: walk_statistics(s, substream(1, i))) for i in range(3)]
+    steps = [walk_statistics(s, substream(1, i)).steps for i in range(3)]
+    return peak, kernels, [2 * k + 8 * sampler._BLOCK for k in steps], steps
 
 
 # The command's own allocations outside the replicate loop: about 60 kB.
@@ -169,23 +173,23 @@ _COMMAND_BYTES = 100_000
 def test_replicate_loops_hold_one_record(tmp_path, monkeypatch, command, n, c):
     # A record holds its walk prefix, not the degree vector, and on one
     # worker each is freed before the next is drawn: three replicates peak
-    # at the largest kernel call plus the command's own, under half a byte
-    # per node.
-    peak, kernels = _loop_and_kernel_peaks(tmp_path, monkeypatch, command, n, c, workers=1)
+    # at the largest kernel call plus the command's own, within the largest
+    # prefix's bound.  The three walks stop at 131,072, 32,768 and 98,304
+    # steps, each under 14% of n.
+    peak, kernels, prefixes, steps = _loop_and_kernel_peaks(tmp_path, monkeypatch, command, n, c, workers=1)
     assert peak <= max(kernels) + _COMMAND_BYTES
-    assert peak <= n / 2
-    s = make_degree_sequence(geometric_profile(), n, c, seed=1)
-    assert [walk_statistics(s, substream(1, i)).steps for i in range(3)] == [28_672] * 3
+    assert peak <= max(prefixes) + _COMMAND_BYTES
+    assert steps == [131_072, 32_768, 98_304]
 
 
 @_REPLICATE_LOOPS
 def test_replicate_loops_hold_one_record_per_worker(tmp_path, monkeypatch, command, n, c):
     # Two workers draw up to 32 records each ahead of the one being read, so
-    # the three replicates may all be held at once, still under half a byte
-    # per node.
-    peak, kernels = _loop_and_kernel_peaks(tmp_path, monkeypatch, command, n, c, workers=2)
+    # the three replicates may all be held at once, still within the sum of
+    # their prefixes' bounds.
+    peak, kernels, prefixes, _ = _loop_and_kernel_peaks(tmp_path, monkeypatch, command, n, c, workers=2)
     assert peak <= sum(kernels) + _COMMAND_BYTES
-    assert peak <= n / 2
+    assert peak <= sum(prefixes) + _COMMAND_BYTES
 
 
 def test_sample_writes_each_record_as_it_is_drawn(tmp_path):

@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # new output.
 PINNED_STDOUT_SHA256 = {
     "codec_walkthrough": "361193fb95910273a77e062375c106a0faffabfc612236c6caf4fd24d416cc08",
-    "forest_sampling": "e0aa1c63553ab766e014288778e87055ce27aa72acbba06992b8d184c2ecfee2",
+    "forest_sampling": "6e20aefbc7577fe7f7dab137e504d123589bae272467e9e4e262401618afdeb8",
     "limit_objects": "f46026f83572f238688d1d206be40d1d790c8daf32762a145654b0c15fdf2c40",
 }
 

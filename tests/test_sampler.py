@@ -122,7 +122,7 @@ def test_sample_forest_peak_memory_at_1e6():
     # These three peak at 2.01-2.48 x 8n bytes, with or without the two
     # np.roll copies the one-copy rotation replaced: the shuffled vector, the
     # n-sized output buffer (the marked tree's walk, then the rotated forest)
-    # and one window.  One more O(n) array would pass 2.75.
+    # and one block.  One more O(n) array would pass 2.75.
     s = make_degree_sequence(geometric_profile(), 1_000_000, 125, seed=1)
     sample_forest(s, substream(1, 0))  # warm-up: first-call allocations
     for i in range(3):
@@ -162,10 +162,11 @@ def _assert_matches_full_walk(s, seed):
     # The record is that of its drawn prefix, completed by the degrees it did
     # not draw in any order: the prefix holds the walk up to its last small tree.
     ws = walk_statistics(s, substream(seed, 0))
-    assert len(ws.perm) == ws.steps <= min(s.n, 2 * ws.tau_n + sampler._FIRST_WINDOW)
+    block = sampler._BLOCK
+    assert len(ws.perm) == ws.steps == min(s.n, block * math.ceil(ws.tau_n / block))
     full = _completed(s, ws.perm)
-    if ws.steps == s.n <= sampler._FIRST_WINDOW:
-        # One window, the whole vector: the draws of shuffle_degrees.
+    if ws.steps == s.n <= block:
+        # One block, the whole vector: the draws of shuffle_degrees.
         assert np.array_equal(full, shuffle_degrees(s, substream(seed, 0)))
     walk, boundaries, sizes, order = full_walk_statistics(full, s.c)
     assert np.array_equal(ws.walk, walk[: ws.steps])
@@ -186,11 +187,11 @@ def _assert_matches_full_walk(s, seed):
 @example(validate({0: 3, 1: 2, 3: 1}), 1, 2)
 @example(validate({0: 4, 2: 2}), 2, 1)
 @example(validate({0: 300, 2: 2}), 3, 2)
-@given(degree_sequences(), st.integers(0, 2**32), st.sampled_from([1, 2, 4096]))
-def test_walk_statistics_matches_full_walk_reference(s, seed, first_window):
-    # Small first windows make the doubling windows break at many points at small n.
+@given(degree_sequences(), st.integers(0, 2**32), st.sampled_from([1, 2, 4096, sampler._BLOCK]))
+def test_walk_statistics_matches_full_walk_reference(s, seed, block):
+    # Small blocks make the walk break at many points at small n.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sampler, "_FIRST_WINDOW", first_window)
+        mp.setattr(sampler, "_BLOCK", block)
         _assert_matches_full_walk(s, seed)
 
 
@@ -201,38 +202,42 @@ def test_walk_statistics_matches_full_walk_reference_at_1e6():
 @pytest.mark.parametrize("degree, dtype", [
     (255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.uint32),
 ])
-@pytest.mark.parametrize("first_window", [1, 4096])
-def test_walk_statistics_in_the_narrowest_dtype_matches_full_walk(degree, dtype, first_window):
-    # The degree vector is stored in the narrowest dtype that holds its largest
-    # degree; the walk of such a vector must not wrap at 0 - 1, at the largest
-    # degree or across a window's carried value.  c = 3 and one node of the
-    # largest degree, so the walk climbs by degree - 1 in one step.
+@pytest.mark.parametrize("block", [1, 4096])
+def test_walk_statistics_in_the_narrowest_dtype_matches_full_walk(degree, dtype, block):
+    # The record's prefix is stored in the narrowest dtype that holds its
+    # largest degree; the walk of such a prefix must not wrap at 0 - 1, at the
+    # largest degree or across a block's carried value.  c = 3 and one node
+    # of the largest degree, so the walk climbs by degree - 1 in one step.
     s = validate({0: degree + 2, 1: 50, degree: 1})
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sampler, "_FIRST_WINDOW", first_window)
+        mp.setattr(sampler, "_BLOCK", block)
         for seed in range(4):
             assert walk_statistics(s, substream(seed, 0)).perm.dtype == dtype
             _assert_matches_full_walk(s, seed)
 
 
 def test_walk_statistics_peak_memory_at_1e6():
-    # This replicate's walk first reaches -124 at tau_n = 679,901, so the
-    # kernel draws all n entries.  It holds the drawn windows at one byte per
-    # node (1e6 bytes) and then their concatenation, the record's prefix
-    # (1e6 more); the passage search holds one int64 block of 65,536 steps
-    # (0.52e6 bytes) at a time, freed before the concatenation.  One more
-    # block, or one window-sized int64 array, would pass the bound.
+    # Replicate 19 first reaches -124 at tau_n = 999,972, so the kernel draws
+    # all n entries, the last block being the whole remainder.  It holds the
+    # drawn blocks at one byte per node (1e6 bytes) and then their
+    # concatenation, the record's prefix (1e6 more); the draw and the
+    # passage search hold one int64 block of 32,768 steps (262,144 bytes) at
+    # a time, freed before the concatenation.  One more block held there,
+    # or blocks kept in int64, would pass the bound.
     s = make_degree_sequence(geometric_profile(), 1_000_000, 125, seed=1)
-    ws = walk_statistics(s, substream(1, 11))  # warm-up: first-call allocations
-    assert (ws.tau_n, ws.steps, len(ws.perm)) == (679_901, s.n, s.n)
-    assert traced_peak(lambda: walk_statistics(s, substream(1, 11))) < 2.2e6
+    ws = walk_statistics(s, substream(1, 19))  # warm-up: first-call allocations
+    assert (ws.tau_n, ws.steps, len(ws.perm)) == (999_972, s.n, s.n)
+    bound = 2 * ws.steps + 8 * sampler._BLOCK
+    assert traced_peak(lambda: walk_statistics(s, substream(1, 19))) < bound
 
 
 def test_walk_statistics_shuffles_the_whole_vector_past_the_hypergeometric_range(monkeypatch):
     # rng.multivariate_hypergeometric takes fewer than 10**9 items; from there
-    # the kernel shuffles the whole vector, and its record keeps the prefix.
+    # the kernel shuffles the whole vector, and its record keeps the prefix,
+    # here of fewer than n steps in blocks of 4,096.
     s = make_degree_sequence(geometric_profile(), 20_000, 12, seed=3)
     monkeypatch.setattr(sampler, "_HYPERGEOMETRIC_MAX", s.n)
+    monkeypatch.setattr(sampler, "_BLOCK", 4096)
     ws = walk_statistics(s, substream(5, 0))
     assert ws.steps < s.n
     assert np.array_equal(ws.perm, shuffle_degrees(s, substream(5, 0))[: ws.steps])
@@ -255,10 +260,10 @@ def test_replicates_are_the_same_on_any_number_of_cpus(monkeypatch):
     assert records[1] == [_fields(walk_statistics(s, substream(7, i))) for i in range(11)]
 
 
-@pytest.mark.parametrize("n,threaded", [(sampler._FIRST_WINDOW, False), (5000, True)])
+@pytest.mark.parametrize("n,threaded", [(sampler._IN_THREAD_MAX_N, False), (5000, True)])
 def test_replicates_thread_only_past_one_window(monkeypatch, n, threaded):
-    # Up to one first window of steps a replicate is bound by the interpreter,
-    # so every replicate loop draws in the caller's thread; past it, on workers.
+    # Up to n = 4,096 a replicate is bound by the interpreter, so every
+    # replicate loop draws in the caller's thread; past it, on workers.
     s = make_degree_sequence(geometric_profile(), n, 6, seed=3)
     monkeypatch.setattr(sampler, "_cpus", lambda: 3)
     real, where = sampler.substream, []
@@ -393,16 +398,16 @@ def _assert_tau_n_matches_hitting_time_law():
 
 
 def test_tau_n_matches_hitting_time_law():
-    # At n = 120 the first window is the whole vector: one shuffle.
+    # At n = 120 the first block is the whole vector: one shuffle.
     _assert_tau_n_matches_hitting_time_law()
 
 
-@pytest.mark.parametrize("first_window", [1, 3])
-def test_tau_n_matches_hitting_time_law_over_several_windows(monkeypatch, first_window):
-    # Windows of 1, 2, 4, ... or 3, 6, 12, ... entries: each replicate draws
-    # several windows' counts from the multivariate hypergeometric law.  On
-    # one CPU, since at n = 120 threads only add their overhead.
-    monkeypatch.setattr(sampler, "_FIRST_WINDOW", first_window)
+@pytest.mark.parametrize("block", [1, 3])
+def test_tau_n_matches_hitting_time_law_over_several_windows(monkeypatch, block):
+    # Blocks of 1 or 3 entries: each replicate draws several blocks' counts
+    # from the multivariate hypergeometric law.  On one CPU, since at n = 120
+    # threads only add their overhead.
+    monkeypatch.setattr(sampler, "_BLOCK", block)
     monkeypatch.setattr(sampler, "_cpus", lambda: 1)
     _assert_tau_n_matches_hitting_time_law()
 
@@ -427,11 +432,11 @@ def test_tau_n_matches_exact_law_at_large_n():
 
 @pytest.mark.parametrize("counts", [{0: 4, 2: 2}, {0: 5, 1: 1, 3: 1}, {0: 5, 1: 1, 2: 1, 3: 1}])
 def test_walk_prefix_law_matches_enumeration(monkeypatch, counts):
-    # Windows of 1, 2, 4, ... entries, so that even at n <= 8 a replicate
-    # draws several windows.  Every distinct arrangement of d(s) is equally
-    # likely, which gives the exact law of (sizes, the prefix up to tau_n).
+    # Blocks of 1 entry, so that even at n <= 8 a replicate draws several
+    # blocks.  Every distinct arrangement of d(s) is equally likely, which
+    # gives the exact law of (sizes, the prefix up to tau_n).
     s = validate(counts)
-    monkeypatch.setattr(sampler, "_FIRST_WINDOW", 1)
+    monkeypatch.setattr(sampler, "_BLOCK", 1)
     monkeypatch.setattr(sampler, "_cpus", lambda: 1)
     exact = collections.Counter()
     for w in enumerate_walks(s):
