@@ -3,10 +3,11 @@
 A uniformly shuffled degree vector codes a uniform marked cyclic forest;
 pulling back through the n-to-c marking map (uniform rotation, drop the
 mark) gives an exactly uniform plane forest.  Sampling a forest is one O(n)
-shuffle.  The replicate kernel draws only the walk's prefix up to the last
-small tree, O(tau_n), in fixed blocks: the first k entries of a uniform
-arrangement of a multiset have multivariate-hypergeometric class counts
-and, given them, a uniform order.  Everything is deterministic given
+shuffle.  Every replicate reads the arrangement from one block drawer,
+which draws only the blocks its reader takes: the first k entries of a
+uniform arrangement of a multiset have multivariate-hypergeometric class
+counts and, given them, a uniform order.  So the replicate kernel draws
+only the walk's prefix up to the last small tree, O(tau_n).  Everything is deterministic given
 (degree sequence, seed): replicate i draws only from ``substream(seed,
 i)``, so the replicate loops draw their replicates side by side, one
 worker thread per CPU, and yield them in index order with the same bits on
@@ -18,7 +19,7 @@ from __future__ import annotations
 import collections
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -61,7 +62,7 @@ def _marked_arrays(s: DegreeSequence, rng: np.random.Generator, uniform_start: b
     returns once, as a whole forest.
     """
     perm = shuffle_degrees(s, rng)
-    _, bounds = _tree_boundaries(lambda lo, hi: perm[lo:hi], s.n, s.c)
+    _, bounds = _tree_boundaries((perm[lo : lo + _BLOCK] for lo in range(0, s.n, _BLOCK)), s.n, s.c)
     sizes = np.diff(bounds, prepend=0)
     marked = s.n - int(sizes[-1])  # the marked tree's first node
     buf = np.empty(s.n, dtype=np.int64)
@@ -142,6 +143,8 @@ class WalkStatistics:
         A small tree is counted from the prefix.  The marked tree, whose end
         the prefix need not reach, is the degree sequence's counts minus the
         small trees'; its histogram runs up to the largest degree."""
+        if not 1 <= rank <= len(self.sizes):
+            raise ValueError(f"tree rank {rank} outside 1..{len(self.sizes)}")
         t = int(self.ranked_order[rank - 1])
         if t == len(self.sizes) - 1:
             counts = np.zeros(max(self.counts) + 1, dtype=np.int64)
@@ -152,29 +155,68 @@ class WalkStatistics:
         return _degree_counts(tree, int(tree.max()) + 1)
 
 
-_BLOCK = 1 << 15  # steps drawn and summed at a time: 256 KiB of int64
+_BLOCK = 1 << 15  # entries drawn and summed at a time: 256 KiB of int64
+_HYPERGEOMETRIC_MAX = 10**9  # rng.multivariate_hypergeometric needs fewer items
 
 
-def _tree_boundaries(block: Callable[[int, int], np.ndarray], n: int, c: int) -> tuple[int, np.ndarray]:
-    """(hi, ends of the c tree segments) of a degree vector of length n,
-    read one block at a time.
+def _blocks(s: DegreeSequence, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """A uniform arrangement of d(s), yielded ``_BLOCK`` entries at a time in
+    the narrowest unsigned dtype that holds the largest degree.
 
-    The vector is read in blocks of ``_BLOCK`` entries until the walk
-    reaches -(c-1) in the block that ends at hi; ``block(lo, hi)`` gives
-    its entries lo..hi-1.  Each block's walk is summed in a new int64 array
-    (a narrow vector would wrap at 0 - 1), started from the walk's value at
+    Each block's degree counts are multivariate hypergeometric from the
+    counts not yet drawn, and one shuffle orders them: the first k entries
+    of a uniform arrangement of a multiset have those counts and, given
+    them, a uniform order (Sanders et al. 2018).  A block is built and
+    shuffled in int64, whose shuffle is faster than a narrow one, and
+    narrowed before it is yielded, so a suspended drawer holds no int64
+    block.  The block that reaches n is the whole remainder, shuffled with
+    no hypergeometric draw, so at n <= 32,768 the draws are those of
+    ``shuffle_degrees``.  From n = 10**9, past the hypergeometric sampler's
+    range, the whole narrow vector is shuffled once (again the draws of
+    ``shuffle_degrees``: a shuffle's draws depend only on the vector's
+    length) and yielded in slices.  A reader draws only the blocks it takes.
+    """
+    degrees = sorted(s.counts)
+    narrow = np.array(degrees, dtype=np.min_scalar_type(degrees[-1]))
+    remaining = np.array([s.counts[i] for i in degrees], dtype=np.int64)
+    if s.n >= _HYPERGEOMETRIC_MAX:
+        perm = np.repeat(narrow, remaining)
+        rng.shuffle(perm)
+        for lo in range(0, s.n, _BLOCK):
+            yield perm[lo : lo + _BLOCK]
+        return
+    values = narrow.astype(np.int64)
+    for lo in range(0, s.n, _BLOCK):
+        size = min(_BLOCK, s.n - lo)
+        counts = remaining if lo + size == s.n else rng.multivariate_hypergeometric(remaining, size)
+        block = np.repeat(values, counts)
+        np.subtract(remaining, counts, out=remaining)
+        rng.shuffle(block)
+        block = block.astype(narrow.dtype)  # frees the int64 block
+        yield block
+
+
+def _tree_boundaries(blocks: Iterable[np.ndarray], n: int, c: int) -> tuple[list, np.ndarray]:
+    """(the blocks read, ends of the c tree segments) of a degree vector of
+    length n, given as consecutive blocks.
+
+    Blocks are read until the walk reaches -(c-1), and none past the one in
+    which it does.  Each block's walk is summed in a new int64 array (a
+    narrow vector would wrap at 0 - 1), started from the walk's value at
     the end of the block before.  The first c-1 boundaries (1-based step
     counts) are the first passage times of -1, ..., -(c-1), found in each
     block from its running minimum, taken in the block's own storage, so
-    the search holds one block at a time.  The marked tree's lattice bridge
-    may dip below -c early, so its segment always ends at n.
+    the search holds one int64 block at a time.  The marked tree's lattice
+    bridge may dip below -c early, so its segment always ends at n.
     """
     bounds = np.full(c, n, dtype=np.int64)
+    blocks, read = iter(blocks), []
     # The walk before step hi reaches -found and no lower level; last is its value at step hi.
     hi, found, last = 0, 0, 0
     while found < c - 1:
-        lo, hi = hi, min(n, hi + _BLOCK)
-        walk = np.subtract(block(lo, hi), 1, dtype=np.int64)
+        read.append(next(blocks))
+        lo, hi = hi, hi + len(read[-1])
+        walk = np.subtract(read[-1], 1, dtype=np.int64)
         np.cumsum(walk, out=walk)
         walk += last
         last = int(walk[-1])
@@ -183,16 +225,20 @@ def _tree_boundaries(block: Callable[[int, int], np.ndarray], n: int, c: int) ->
         bounds[found:reached] = np.searchsorted(depth, np.arange(found + 1, reached + 1)) + lo + 1
         found = reached
         del walk, depth  # freed before the next block is drawn
-    return hi, bounds
+    return read, bounds
 
 
-def _record(s: DegreeSequence, perm: np.ndarray, steps: int, boundaries: np.ndarray) -> WalkStatistics:
-    """The WalkStatistics of a walk prefix and its tree boundaries."""
+def walk_statistics(s: DegreeSequence, rng: np.random.Generator) -> WalkStatistics:
+    """Sample one replicate's walk prefix, the blocks of ``_blocks`` up to
+    the one in which the walk first reaches -(c-1), and summarize it
+    without materializing trees."""
+    read, boundaries = _tree_boundaries(_blocks(s, rng), s.n, s.c)
+    perm = np.concatenate([np.empty(0, np.min_scalar_type(max(s.counts))), *read])
     sizes = np.diff(boundaries, prepend=0)
     order = np.argsort(-sizes, kind="stable")
     return WalkStatistics(
         perm=perm,
-        steps=steps,
+        steps=len(perm),
         boundaries=boundaries,
         sizes=sizes,
         ranked_sizes=sizes[order],
@@ -201,59 +247,6 @@ def _record(s: DegreeSequence, perm: np.ndarray, steps: int, boundaries: np.ndar
         largest_is_marked=bool(order[0] == s.c - 1),
         counts=s.counts,
     )
-
-
-def _degree_classes(s: DegreeSequence) -> tuple[np.ndarray, np.ndarray]:
-    """(the degrees of s in increasing order, in the narrowest unsigned dtype
-    that holds the largest; their int64 counts)."""
-    degrees = sorted(s.counts)
-    values = np.array(degrees, dtype=np.min_scalar_type(degrees[-1]))
-    return values, np.array([s.counts[i] for i in degrees], dtype=np.int64)
-
-
-_HYPERGEOMETRIC_MAX = 10**9  # rng.multivariate_hypergeometric needs fewer items
-
-
-def walk_statistics(s: DegreeSequence, rng: np.random.Generator) -> WalkStatistics:
-    """Sample one replicate's walk prefix and summarize it without
-    materializing trees.
-
-    The shuffled degree vector is drawn one ``_tree_boundaries`` block at a
-    time: the block's degree counts are multivariate hypergeometric from
-    the counts not yet drawn, and one shuffle orders them, in int64, whose
-    shuffle is faster than a narrow one; the record keeps the blocks
-    narrowed.  The block that reaches n is the whole remainder, shuffled
-    with no hypergeometric draw, so at n <= 32,768 the draws are those of
-    ``shuffle_degrees``.  From n = 10**9, past the hypergeometric sampler's
-    range, the whole vector is shuffled instead.
-    """
-    if s.n >= _HYPERGEOMETRIC_MAX:
-        return _whole_vector_statistics(s, rng)
-    narrow, remaining = _degree_classes(s)
-    values = narrow.astype(np.int64)
-    prefix = [narrow[:0]]
-
-    def draw(lo, hi):
-        counts = remaining if hi == s.n else rng.multivariate_hypergeometric(remaining, hi - lo)
-        block = np.repeat(values, counts)
-        np.subtract(remaining, counts, out=remaining)
-        rng.shuffle(block)
-        prefix.append(block.astype(narrow.dtype))
-        return prefix[-1]
-
-    steps, boundaries = _tree_boundaries(draw, s.n, s.c)
-    return _record(s, np.concatenate(prefix), steps, boundaries)
-
-
-def _whole_vector_statistics(s: DegreeSequence, rng: np.random.Generator) -> WalkStatistics:
-    """A replicate's WalkStatistics from the whole shuffled degree vector:
-    at every n, the draws of ``shuffle_degrees`` (a shuffle's draws depend
-    only on the vector's length, not on its dtype).  The vector is narrow,
-    and ``perm`` is a copy of its first ``steps`` entries."""
-    perm = np.repeat(*_degree_classes(s))
-    rng.shuffle(perm)
-    steps, boundaries = _tree_boundaries(lambda lo, hi: perm[lo:hi], s.n, s.c)
-    return _record(s, perm[:steps].copy(), steps, boundaries)
 
 
 def _cpus() -> int:

@@ -21,7 +21,7 @@ import numpy as np
 from .degseq import DegreeSequence, empirical, limit_sigma, make_degree_sequence
 from .errors import EmptySample
 from .limit_sim import _check_sigma, _erfc, tau_cdf, uncensored_limit_draws
-from .sampler import _map_replicates, _whole_vector_statistics, replicates, shuffle_degrees, substream
+from .sampler import _blocks, _map_replicates, replicates, substream
 
 DEFAULT_T_CAP = 500.0
 LIMIT_FIRST = 10_000_000  # substream index of the first limit draw
@@ -169,8 +169,13 @@ def experiment_walk(p, n: int, cn: int, reps: int, seed: int) -> ExperimentRepor
     _check_sigma(sigma)  # the Normal limit needs a spread
 
     def row(rep: int) -> np.ndarray:
-        # W(k) at the t points and at kmax // 2, with W(0) = 0 prepended.
-        walk = np.cumsum(shuffle_degrees(s, substream(seed, rep))[:kmax] - 1)
+        # W(k) at the t points and at kmax // 2, with W(0) = 0 prepended, from
+        # the blocks that hold the first kmax steps.  Summed in int64: a
+        # narrow block minus 1 would wrap.
+        blocks, head = _blocks(s, substream(seed, rep)), []
+        while sum(map(len, head)) < kmax:
+            head.append(next(blocks))
+        walk = np.cumsum(np.subtract(np.concatenate(head)[:kmax], 1, dtype=np.int64))
         return np.concatenate(([0], walk))[[*ks_idx, kmax // 2]]
 
     rows = np.array(list(_map_replicates(row, reps, n)))
@@ -214,16 +219,8 @@ def experiment_degrees(p, n: int, cn: int, reps: int, seed: int) -> ExperimentRe
         shares = [counts[i] / size if i < len(counts) else 0.0 for i in _DEGREES]
         return [*shares, float((idx * idx * counts).sum()) / size]
 
-    # Each replicate is read down to its two ranked trees in the thread that
-    # draws it.  It shuffles the whole degree vector (the draws of
-    # shuffle_degrees), not the kernel's prefix, so this report keeps its
-    # figures: criterion 8's check that they decrease from n = 5e4 to 2e5
-    # sits on a knife-edge at i=1,l=2.
-    def row(rep: int) -> list:
-        ws = _whole_vector_statistics(s, substream(seed, rep))
-        return [tree(ws.tree_degree_counts(l)) for l in _TREE_RANKS]
-
-    diffs = np.abs(np.array(list(_map_replicates(row, reps, n))) - reference)
+    rows = ([tree(ws.tree_degree_counts(l)) for l in _TREE_RANKS] for ws in replicates(s, seed, reps))
+    diffs = np.abs(np.array(list(rows)) - reference)
     p_cols = {f"i={i},l={l}": diffs[:, k, j]
               for j, i in enumerate(_DEGREES) for k, l in enumerate(_TREE_RANKS)}
     s_cols = {f"l={l}": diffs[:, k, -1] for k, l in enumerate(_TREE_RANKS)}
@@ -261,9 +258,18 @@ def experiment_concentration(p, n: int, cn: int, reps: int, seed: int) -> Experi
     if n <= cn:  # no window size m in (cn, n]
         raise ValueError(f"concentration needs n > cn, got n={n}, cn={cn}")
     p_i = s.counts.get(_CONC_DEGREE, 0) / n
-    ms = np.arange(cn + 1, n + 1, dtype=float)
-    leaves = lambda rep: np.cumsum(shuffle_degrees(s, substream(seed, rep)) == _CONC_DEGREE)
-    sup = lambda rep: np.abs(p_i - leaves(rep)[cn:] / ms).max()
+
+    def sup(rep: int) -> float:
+        # The leaves among the first m entries, counted block by block.
+        best, m, leaves = 0.0, 0, 0
+        for block in _blocks(s, substream(seed, rep)):
+            counts = leaves + np.cumsum(block == _CONC_DEGREE)
+            ms = np.arange(m + 1, m + len(block) + 1, dtype=float)
+            above = np.abs(p_i - counts / ms)[max(0, cn - m) :]  # window sizes m > cn
+            best = max(best, float(above.max(initial=0.0)))
+            m, leaves = m + len(block), int(counts[-1])
+        return best
+
     sups = np.array(list(_map_replicates(sup, reps, n)))
     stats: dict = {"p_i": p_i, "cn": cn, "exceedance": {}, "bound": {}}
     passed: dict = {}

@@ -233,15 +233,33 @@ def test_walk_statistics_peak_memory_at_1e6():
 
 def test_walk_statistics_shuffles_the_whole_vector_past_the_hypergeometric_range(monkeypatch):
     # rng.multivariate_hypergeometric takes fewer than 10**9 items; from there
-    # the kernel shuffles the whole vector, and its record keeps the prefix,
-    # here of fewer than n steps in blocks of 4,096.
+    # the drawer shuffles the whole vector and yields it in blocks of 4,096,
+    # and the kernel's record keeps the prefix, here of fewer than n steps.
     s = make_degree_sequence(geometric_profile(), 20_000, 12, seed=3)
     monkeypatch.setattr(sampler, "_HYPERGEOMETRIC_MAX", s.n)
     monkeypatch.setattr(sampler, "_BLOCK", 4096)
+    blocks = list(sampler._blocks(s, substream(5, 0)))
+    assert [len(b) for b in blocks] == [4096] * 4 + [3616]
+    assert np.array_equal(np.concatenate(blocks), shuffle_degrees(s, substream(5, 0)))
     ws = walk_statistics(s, substream(5, 0))
     assert ws.steps < s.n
     assert np.array_equal(ws.perm, shuffle_degrees(s, substream(5, 0))[: ws.steps])
     _assert_matches_full_walk(s, 5)
+
+
+@pytest.mark.parametrize("block", [1, 2])
+@pytest.mark.parametrize("counts", [{0: 4, 2: 2}, {0: 5, 1: 1, 2: 1, 3: 1}])
+def test_blocks_are_uniform_over_the_distinct_arrangements(monkeypatch, counts, block):
+    # The drawer's blocks laid end to end, with a hypergeometric draw for every
+    # block but the last: each distinct arrangement of d(s) is equally likely.
+    s = validate(counts)
+    monkeypatch.setattr(sampler, "_BLOCK", block)
+    arrangements = sorted(tuple(np.diff(w.values) + 1) for w in enumerate_walks(s))
+    reps = 20 * len(arrangements)
+    seen = collections.Counter(tuple(np.concatenate(list(sampler._blocks(s, substream(37, i)))).tolist())
+                               for i in range(reps))
+    assert set(seen) == set(arrangements)
+    assert scipy.stats.chisquare([seen[a] for a in arrangements]).pvalue > 0.001
 
 
 def _fields(ws):
@@ -346,6 +364,14 @@ def test_in_order_keeps_one_call_per_worker_in_flight(monkeypatch):
     for i, x in enumerate(sampler._in_order(lambda j: started.append(j) or j, 12)):
         time.sleep(0.02)
         assert x == i and max(started) <= i + 2
+
+
+@pytest.mark.parametrize("rank", [0, -1, 5])
+def test_tree_degree_counts_rejects_a_rank_outside_one_to_c(rank):
+    # c = 4 trees: rank 0 or -1 would otherwise index the smallest tree.
+    ws = walk_statistics(validate({0: 5, 1: 2, 2: 1}), substream(1, 0))
+    with pytest.raises(ValueError, match=f"tree rank {rank} outside 1..4"):
+        ws.tree_degree_counts(rank)
 
 
 def test_walk_statistics_per_tree_degrees():
@@ -454,14 +480,20 @@ def test_walk_prefix_law_matches_enumeration(monkeypatch, counts):
 
 
 def test_prefix_draw_matches_the_whole_vector_draw_at_large_n():
-    # The prefix draw and the whole-vector draw (experiment_degrees') have the
-    # same law.  Seeds apart from the acceptance suite's; n and c_n of
-    # criterion 8's smaller size.
+    # The prefix draw and a whole-vector draw (shuffle_degrees, read by the
+    # whole-walk oracle) have the same law of tau_n, |T2| and W(2 c^2).
+    # Seeds apart from the acceptance suite's; n and c_n of criterion 8's
+    # smaller size.
     s = make_degree_sequence(geometric_profile(), 50_000, 14, seed=5)
-    reps = 4000
-    whole = lambda i: sampler._whole_vector_statistics(s, substream(4712, i))
-    samples = [np.array([(ws.tau_n, ws.ranked_sizes[1]) for ws in records]).T for records in (
-        replicates(s, 4711, reps), sampler._map_replicates(whole, reps, s.n))]
+    reps, k = 4000, 2 * s.c**2
+
+    def whole(i):
+        walk, boundaries, sizes, order = full_walk_statistics(shuffle_degrees(s, substream(4712, i)), s.c)
+        return boundaries[-2], sizes[order[1]], walk[k - 1]
+
+    kernel = lambda ws: (ws.tau_n, ws.ranked_sizes[1], ws.walk[k - 1])
+    samples = [np.array(list(rows)).T for rows in (
+        map(kernel, replicates(s, 4711, reps)), sampler._map_replicates(whole, reps, s.n))]
     # 1.63 sqrt(2/reps) is the 1% two-sample Kolmogorov bound.
     for prefix, full in zip(*samples):
         assert ks_two_sample(prefix, full) <= 1.63 * math.sqrt(2 / reps)

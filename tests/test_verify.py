@@ -261,7 +261,7 @@ def test_experiment_concentration_rejects_n_at_most_cn_before_drawing(monkeypatc
     def no_draws(*args, **kwargs):
         raise AssertionError("a replicate was drawn")
 
-    monkeypatch.setattr(verify, "shuffle_degrees", no_draws)
+    monkeypatch.setattr(verify, "_blocks", no_draws)
     with pytest.raises(ValueError, match="concentration needs n > cn, got n=1, cn=1"):
         experiment_concentration(geometric_profile(), 1, 1, 3, seed=0)
 
